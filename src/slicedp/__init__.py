@@ -2,10 +2,9 @@
 reorder-slice-compute sessions, with a simulation-based privacy audit harness.
 """
 
-from .engine import (HOLDER_CALL_CONSTANT, Dataset, OrderMap, RscSession,
-                     SliceComputation, ascending_map, axis_map, delayed_compute,
-                     descending_map, holder_call_cap, privacy_cost,
-                     select_and_compute)
+from .engine import (Dataset, OrderMap, RscSession, SliceComputation,
+                     ascending_map, axis_map, delayed_compute, descending_map,
+                     holder_call_cap, privacy_cost, select_and_compute)
 from .learners import (Hypothesis, LabeledSample, boundary_window_size,
                        learn_rectangles, learn_threshold_realizable,
                        load_labeled_csv, rectangle_gate_threshold,
@@ -13,7 +12,7 @@ from .learners import (Hypothesis, LabeledSample, boundary_window_size,
 from .mechanisms import (BOTTOM, TOP, PrivacyBudget, QualityFunction, SvtSession,
                          choosing_error_bound, choosing_mechanism,
                          exponential_mechanism, geometric_pmf, sample_geometric,
-                         sample_geometric_p, sample_laplace, svt_query)
+                         sample_laplace, svt_query)
 from .quasiconcave import (QcInstance, QcResult, build_increment_dataset,
                            chain_size, cumulative_distance, cumulative_ipp,
                            cumulative_regime_threshold, decode_hard_point,
@@ -35,11 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "OrderMap", "RscSession", "SliceComputation", "PrivacyBudget",
-    "QualityFunction", "SvtSession", "TOP", "BOTTOM", "HOLDER_CALL_CONSTANT",
+    "QualityFunction", "SvtSession", "TOP", "BOTTOM",
     "Universe", "TreeVertex", "EmbeddedList", "IppParams", "RegimeError",
     "QcInstance", "QcResult", "LabeledSample", "Hypothesis", "SyncOutcome",
     "SyncDist", "SimTranscript", "AuditResult", "DataHolder",
-    "sample_geometric", "sample_geometric_p", "sample_laplace", "geometric_pmf",
+    "sample_geometric", "sample_laplace", "geometric_pmf",
     "exponential_mechanism", "choosing_mechanism", "choosing_error_bound",
     "svt_query", "ascending_map", "descending_map", "axis_map",
     "select_and_compute", "delayed_compute", "privacy_cost", "holder_call_cap",

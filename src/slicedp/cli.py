@@ -13,17 +13,17 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import (Dataset, SliceComputation, ascending_map, holder_call_cap,
                      privacy_cost)
-from .learners import (LabeledSample, learn_rectangles, learn_threshold_realizable,
-                       load_labeled_csv, threshold_sample_size)
+from .learners import (learn_rectangles, learn_threshold_realizable, load_labeled_csv,
+                       threshold_sample_size)
 from .quasiconcave import load_qc_csv, qc_optimize
-from .sync import (audit_call_count, direct_run, estimate_tv, simulate,
-                   sync_gamma, sync_map_exact_dist)
+from .sync import (direct_run, estimate_tv, simulate, sync_gamma,
+                   sync_map_exact_dist)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
                       trim_parameter)
 
@@ -328,7 +328,7 @@ def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
 
 
 def _cmd_sweep(config: RunConfig):
-    bits_list = config.extras["bits_list"]
+    bits_list = config.extras["bits_list"] or [8, 16, 32, 64]
     rows = []
     for bits in bits_list:
         universe = Universe(bits)
@@ -378,9 +378,10 @@ def _cmd_account(config: RunConfig):
         ("total epsilon", cost.epsilon),
         ("total delta", cost.delta),
     ]
+    # the table goes to stderr so stdout carries only the JSON record
     width = max(len(name) for name, _ in table)
     for name, value in table:
-        print(f"{name:<{width}}  {value}")
+        print(f"{name:<{width}}  {value}", file=sys.stderr)
     return parameters, payload, True
 
 
@@ -432,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="minimal sample size per domain bit length")
     common(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--bits", type=int, nargs="+", default=[8, 16, 32, 64],
-                   dest="bits_list")
+    p.add_argument("--bits", type=int, nargs="+", action="extend", default=None,
+                   dest="bits_list", help="repeatable; default 8 16 32 64")
 
     p = sub.add_parser("account", help="explicit privacy accounting report")
     common(p, epsilon=0.1)

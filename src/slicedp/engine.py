@@ -7,7 +7,7 @@ slices; `privacy_cost` reports the explicit conservative bound.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,15 +26,7 @@ __all__ = [
     "ascending_map",
     "descending_map",
     "axis_map",
-    "HOLDER_CALL_CONSTANT",
 ]
-
-# Explicit constants behind the O(.) of the composition theorems, documented
-# rather than canonical: each first-phase holder call costs (3 eps, 2 delta),
-# the number of calls exceeds w with probability at most (5/6)^w, and each
-# delayed compute on a slice costs (2 eps, 2 delta).
-HOLDER_CALL_CONSTANT = 1
-
 
 class Dataset:
     """A multiset of domain elements; rows of a numpy array.
@@ -133,7 +125,6 @@ class RscSession:
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         self.remaining = as_elements(data)
-        self.original_size = int(self.remaining.shape[0])
         self.stored_slices = {}
         self.step = 0
         self.tau = tau
@@ -189,8 +180,10 @@ def privacy_cost(epsilon_step: float, delta_step: float, tau: int, k: int,
                  delta_hat: float, applications: int = 1) -> PrivacyBudget:
     """Conservative explicit privacy bound for RSC executions.
 
-    eps_total = 3 * eps * c * max(applications, w) + 2 * k * eps, where
-    w = holder_call_cap(delta_hat) and c = HOLDER_CALL_CONSTANT; the delta
+    Each first-phase holder call costs (3 eps, 2 delta), the number of calls
+    exceeds w = holder_call_cap(delta_hat) with probability at most
+    (5/6)^w, and each delayed compute on a slice costs (2 eps, 2 delta):
+    eps_total = 3 * eps * max(applications, w) + 2 * k * eps, and the delta
     term is exact: delta_total = delta_hat + 2 * k * tau * delta.
     """
     if epsilon_step < 0 or delta_step < 0:
@@ -198,7 +191,7 @@ def privacy_cost(epsilon_step: float, delta_step: float, tau: int, k: int,
     if tau < 1 or k < 1 or applications < 1:
         raise ValueError("tau, k, and applications must be at least 1")
     w = holder_call_cap(delta_hat)
-    eps_total = 3.0 * epsilon_step * HOLDER_CALL_CONSTANT * max(applications, w) \
+    eps_total = 3.0 * epsilon_step * max(applications, w) \
         + 2.0 * k * epsilon_step
     delta_total = delta_hat + 2.0 * k * tau * delta_step
     return PrivacyBudget(eps_total, delta_total)

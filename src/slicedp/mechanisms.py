@@ -7,7 +7,7 @@ so runs are reproducible from a seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "SvtSession",
     "geometric_pmf",
     "sample_geometric",
-    "sample_geometric_p",
     "sample_laplace",
     "exponential_mechanism",
     "choosing_mechanism",
@@ -76,13 +75,6 @@ def geometric_pmf(epsilon: float, k: int) -> float:
     return math.exp(-epsilon * k) * (1.0 - math.exp(-epsilon))
 
 
-def sample_geometric_p(p: float, rng: np.random.Generator) -> int:
-    """Number of failures before the first success at success rate p."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    return int(rng.geometric(p)) - 1
-
-
 def sample_geometric(epsilon: float, rng: np.random.Generator) -> int:
     """Draw the geometric noise of the slicing step, success rate 1 - e^-eps.
 
@@ -91,7 +83,7 @@ def sample_geometric(epsilon: float, rng: np.random.Generator) -> int:
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return sample_geometric_p(1.0 - math.exp(-epsilon), rng)
+    return int(rng.geometric(1.0 - math.exp(-epsilon))) - 1
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:

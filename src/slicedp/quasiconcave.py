@@ -10,13 +10,12 @@ universe-chain reduction used to demonstrate the matching hardness mechanics.
 
 import bisect
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Dataset, RscSession, as_elements
+from .engine import Dataset, RscSession
 from .mechanisms import PrivacyBudget, sample_laplace
 from .treelog import (IppParams, RegimeError, Universe, log_star, treelog,
                       trim_parameter)
@@ -66,14 +65,11 @@ def cumulative_distance(first, second) -> int:
 def is_quasi_concave(scores) -> bool:
     """True iff the sequence never rises again after a strict fall."""
     arr = np.asarray(scores)
-    fallen = False
-    for i in range(1, arr.shape[0]):
-        if arr[i] > arr[i - 1]:
-            if fallen:
-                return False
-        elif arr[i] < arr[i - 1]:
-            fallen = True
-    return True
+    # compare neighbours directly: a difference would wrap on unsigned input
+    falls = arr[1:] < arr[:-1]
+    if not falls.any():
+        return True
+    return not (arr[1:] > arr[:-1])[int(np.argmax(falls)):].any()
 
 
 def build_increment_dataset(f_prime, n: int) -> np.ndarray:
@@ -130,7 +126,7 @@ def cumulative_ipp(universe: Universe, data, epsilon: float, delta: float,
     eps_p, delta_p = scaled_budget(universe, epsilon, delta, constant_c)
     t_p = trim_parameter(eps_p, delta_p)
     elements = Dataset(data, universe.bit_length).elements
-    required = 10 * t_p * log_star(universe.size)
+    required = cumulative_regime_threshold(universe, epsilon, delta, constant_c)
     if elements.shape[0] < required:
         raise RegimeError(
             f"cumulative interior point needs at least {required} points at "

@@ -1,8 +1,9 @@
 """Private interior-point solver over an implicit binary search tree.
 
 The domain X = [0, 2^L) is the leaf set of a complete binary tree that is
-never materialized: every vertex is an interval and every weight is two
-binary searches on a sorted array, so 64-bit domains cost nothing extra.
+never materialized: every vertex is an interval of leaves, and the greedy
+heavy path is one walk down a sorted array with one binary search per depth
+on a shrinking index range, so 64-bit domains cost nothing extra.
 Each recursion level slices off the t smallest and t largest points, checks a
 noisy balance gate, and either finishes in a single heavy round or embeds the
 remaining points into the short label domain {1..L} and recurses.
@@ -170,21 +171,29 @@ def subtree_weight(sorted_data: np.ndarray, v: TreeVertex, universe: Universe) -
     return right - left
 
 
-def _descend(sorted_data: np.ndarray, universe: Universe, visit: Callable):
-    """Walk root to leaf along the heavier child (ties left), calling
-    visit(vertex, left_child, w_left, right_child, w_right) per level; returns
-    the final leaf vertex."""
-    cur = TreeVertex(0, 0)
-    for depth in range(universe.bit_length):
-        left = TreeVertex(depth + 1, 2 * cur.prefix)
-        right = TreeVertex(depth + 1, 2 * cur.prefix + 1)
-        w_left = subtree_weight(sorted_data, left, universe)
-        w_right = subtree_weight(sorted_data, right, universe)
-        stop = visit(cur, left, w_left, right, w_right)
-        if stop is not None:
-            return stop
-        cur = left if w_left >= w_right else right
-    return cur
+def _heavy_path(sorted_data: np.ndarray, bit_length: int):
+    """Walk root to leaf along the heavier child (ties left), one binary
+    search per depth on the current vertex's index range.
+
+    Returns the index range [j0, j1) of the light child at each depth (its
+    weight is j1 - j0) and the leaf reached. Elements at or beyond
+    2^bit_length lie in no vertex and weigh nothing.
+    """
+    i0 = 0
+    i1 = int(np.searchsorted(sorted_data, np.uint64(1 << bit_length))) \
+        if bit_length < 64 else sorted_data.size
+    lo = 0
+    light = []
+    for depth in range(bit_length):
+        mid = lo + (1 << (bit_length - depth - 1))
+        split = i0 + int(np.searchsorted(sorted_data[i0:i1], np.uint64(mid)))
+        if split - i0 >= i1 - split:
+            light.append((split, i1))
+            i1 = split
+        else:
+            light.append((i0, split))
+            i0, lo = split, mid
+    return light, lo
 
 
 def _embed_arrays(arr: np.ndarray, universe: Universe):
@@ -194,26 +203,15 @@ def _embed_arrays(arr: np.ndarray, universe: Universe):
     descending, element descending), the balance statistic gamma, and the
     descent path.
     """
+    bits = universe.bit_length
     sorted_data = np.sort(arr.astype(np.uint64, copy=False))
-    n = sorted_data.size
-    labels = np.full(n, universe.bit_length, dtype=np.uint64)
-    path = [TreeVertex(0, 0)]
-    state = {"gamma": 0}
-
-    def visit(cur, left, w_left, right, w_right):
-        state["gamma"] = max(state["gamma"], min(w_left, w_right))
-        light = right if w_left >= w_right else left
-        heavy = left if w_left >= w_right else right
-        lo, hi = vertex_interval(light, universe)
-        i0 = int(np.searchsorted(sorted_data, np.uint64(lo), side="left"))
-        i1 = int(np.searchsorted(sorted_data, np.uint64(hi - 1), side="right"))
-        labels[i0:i1] = cur.depth + 1
-        path.append(heavy)
-        return None
-
-    _descend(sorted_data, universe, visit)
+    light, leaf = _heavy_path(sorted_data, bits)
+    labels = np.full(sorted_data.size, bits, dtype=np.uint64)
+    for depth, (j0, j1) in enumerate(light):
+        labels[j0:j1] = depth + 1
+    path = [TreeVertex(depth, leaf >> (bits - depth)) for depth in range(bits + 1)]
     order = np.lexsort((sorted_data, labels))[::-1]
-    return labels[order], sorted_data[order], state["gamma"], path
+    return labels[order], sorted_data[order], max(j1 - j0 for j0, j1 in light), path
 
 
 def embed(data, universe: Universe) -> EmbeddedList:
@@ -249,16 +247,9 @@ def embed_order_map(universe: Universe) -> OrderMap:
 
 def gamma(data, universe: Universe) -> int:
     """Max over the greedy path of the lighter-child weight; sensitivity 1."""
-    arr = as_elements(data).astype(np.uint64, copy=False)
-    sorted_data = np.sort(arr)
-    state = {"gamma": 0}
-
-    def visit(cur, left, w_left, right, w_right):
-        state["gamma"] = max(state["gamma"], min(w_left, w_right))
-        return None
-
-    _descend(sorted_data, universe, visit)
-    return state["gamma"]
+    sorted_data = np.sort(as_elements(data).astype(np.uint64, copy=False))
+    light, _ = _heavy_path(sorted_data, universe.bit_length)
+    return max(j1 - j0 for j0, j1 in light)
 
 
 def gamma_sensitivity_check(data, x, universe: Universe) -> int:
@@ -281,19 +272,15 @@ def one_heavy_round(data, universe: Universe, t: int, epsilon: float,
     if arr.size == 0:
         raise ValueError("one_heavy_round requires a nonempty dataset")
     sorted_data = np.sort(arr.astype(np.uint64, copy=False))
+    light, leaf = _heavy_path(sorted_data, universe.bit_length)
     rho = sample_laplace(1.0 / epsilon, rng)
-
-    def visit(cur, left, w_left, right, w_right):
-        w_min = min(w_left, w_right)
+    for depth, (j0, j1) in enumerate(light):
+        w_min = j1 - j0
         if w_min > t / 10.0 and \
                 w_min + sample_laplace(1.0 / epsilon, rng) >= t / 4.0 + rho:
-            return left_right_leaf(cur, universe)
-        return None
-
-    out = _descend(sorted_data, universe, visit)
-    if isinstance(out, TreeVertex):
-        return out.prefix
-    return int(out)
+            return left_right_leaf(TreeVertex(depth, leaf >> (universe.bit_length - depth)),
+                                   universe)
+    return leaf
 
 
 def _slice_levels(universe: Universe) -> int:
@@ -414,7 +401,7 @@ def ipp(universe: Universe, data, epsilon: float, delta: float,
     """
     elements = Dataset(data, universe.bit_length).elements
     t = trim_parameter(epsilon, delta)
-    required = 10 * t * log_star(universe.size)
+    required = regime_threshold(universe, epsilon, delta)
     if enforce_regime and elements.shape[0] < required:
         raise RegimeError(
             f"interior point at epsilon={epsilon}, delta={delta} on a "

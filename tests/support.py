@@ -12,6 +12,9 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
+from slicedp import (TreeVertex, left_right_leaf, sample_laplace, subtree_weight,
+                     vertex_interval)
+
 
 def chi_squared_two_sample(counts_a, counts_b, min_expected=5.0):
     """Two-sample chi-squared statistic over a shared outcome histogram.
@@ -180,3 +183,75 @@ def random_quasi_concave(rng, size, peak_value=None):
     rise = np.sort(rng.integers(0, peak_value + 1, size=peak_pos))
     fall = -np.sort(-rng.integers(0, peak_value + 1, size=size - peak_pos - 1))
     return np.concatenate([rise, [peak_value], fall]).astype(np.int64)
+
+
+def _descend(sorted_data, universe, visit):
+    """Walk root to leaf along the heavier child (ties left), calling
+    visit(vertex, left_child, w_left, right_child, w_right) per level with
+    weights from two fresh binary searches each; returns visit's first
+    non-None result or the final leaf vertex."""
+    cur = TreeVertex(0, 0)
+    for depth in range(universe.bit_length):
+        left = TreeVertex(depth + 1, 2 * cur.prefix)
+        right = TreeVertex(depth + 1, 2 * cur.prefix + 1)
+        w_left = subtree_weight(sorted_data, left, universe)
+        w_right = subtree_weight(sorted_data, right, universe)
+        stop = visit(cur, left, w_left, right, w_right)
+        if stop is not None:
+            return stop
+        cur = left if w_left >= w_right else right
+    return cur
+
+
+def embed_oracle(data, universe):
+    """Heavy-path embedding by per-vertex weights: (pairs, gamma, path).
+
+    pairs are (label, element) in reversed lexicographic order."""
+    sorted_data = np.sort(np.asarray(data).astype(np.uint64))
+    labels = np.full(sorted_data.size, universe.bit_length, dtype=np.uint64)
+    path = [TreeVertex(0, 0)]
+    state = {"gamma": 0}
+
+    def visit(cur, left, w_left, right, w_right):
+        state["gamma"] = max(state["gamma"], min(w_left, w_right))
+        light = right if w_left >= w_right else left
+        path.append(left if w_left >= w_right else right)
+        lo, hi = vertex_interval(light, universe)
+        i0 = int(np.searchsorted(sorted_data, np.uint64(lo), side="left"))
+        i1 = int(np.searchsorted(sorted_data, np.uint64(hi - 1), side="right"))
+        labels[i0:i1] = cur.depth + 1
+        return None
+
+    _descend(sorted_data, universe, visit)
+    pairs = sorted(zip(labels.tolist(), sorted_data.tolist()), reverse=True)
+    return pairs, state["gamma"], path
+
+
+def one_heavy_round_oracle(data, universe, t, epsilon, rng):
+    """Single heavy round by per-vertex weights, with the library's draw order:
+    the threshold noise first, then one draw per eligible depth."""
+    sorted_data = np.sort(np.asarray(data).astype(np.uint64))
+    rho = sample_laplace(1.0 / epsilon, rng)
+
+    def visit(cur, left, w_left, right, w_right):
+        w_min = min(w_left, w_right)
+        if w_min > t / 10.0 and \
+                w_min + sample_laplace(1.0 / epsilon, rng) >= t / 4.0 + rho:
+            return left_right_leaf(cur, universe)
+        return None
+
+    out = _descend(sorted_data, universe, visit)
+    return out.prefix if isinstance(out, TreeVertex) else int(out)
+
+
+def is_quasi_concave_oracle(scores) -> bool:
+    """True iff the sequence never rises again after a strict fall (scan)."""
+    arr = np.asarray(scores)
+    fallen = False
+    for i in range(1, arr.shape[0]):
+        if arr[i] > arr[i - 1]:
+            if fallen:
+                return False
+        elif arr[i] < arr[i - 1]:
+            fallen = True
+    return True

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from slicedp.cli import load_dataset, main, sweep_minimal_n
+from slicedp import cli
+from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
 
 RECORD_KEYS = {"schema_version", "command", "parameters", "payload",
                "success", "wall_clock_sec"}
@@ -58,8 +59,16 @@ class TestRecordShape:
         assert payload["holder_call_cap"] == 76
         assert payload["epsilon_total"] == pytest.approx(3 * 0.5 * 76 + 2 * 0.5)
         assert payload["delta_total"] == pytest.approx(1e-6 + 2 * 6 * 1e-4)
-        console = capsys.readouterr().out
+        console = capsys.readouterr().err
         assert "total epsilon" in console
+
+    def test_account_stdout_is_the_json_record(self, capsys):
+        rc = main(["account", "--seed", "1", "--tau", "6"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert record["command"] == "account" and record["success"] is True
+        assert "total epsilon" in captured.err
 
     def test_bad_seed_is_a_structured_error(self, tmp_path):
         rc, record = run(tmp_path, "err.json",
@@ -230,6 +239,23 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.json.csv").read_text().strip().splitlines()
         assert lines[0] == "L,log_star,minimal_n"
         assert lines[1] == f"4,3,{rows[0]['minimal_n']}"
+
+    @pytest.mark.parametrize("flags,expected", [
+        (["--bits", "8", "--bits", "16"], [8, 16]),
+        (["--bits", "8", "16", "--bits", "32"], [8, 16, 32]),
+        (["--bits", "8"], [8]),
+        ([], None),
+    ])
+    def test_bits_flag_repeats(self, flags, expected):
+        args = build_parser().parse_args(["sweep", "--seed", "5", *flags])
+        assert args.bits_list == expected
+
+    def test_bits_default_sweeps_all_lengths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sweep_minimal_n", lambda bits, *rest: bits)
+        rc, record = run(tmp_path, "sweep.json", ["sweep", "--seed", "5"])
+        assert rc == 0
+        assert record["parameters"]["bits_list"] == [8, 16, 32, 64]
+        assert [row["L"] for row in record["payload"]["rows"]] == [8, 16, 32, 64]
 
     def test_same_seed_bisects_identically(self):
         a = sweep_minimal_n(4, 1.0, 0.1, trials=5, seed=9)

@@ -25,7 +25,8 @@ from slicedp import (
     sample_code,
     scaled_budget,
 )
-from support import positionwise_relabel_labels, random_quasi_concave
+from support import (is_quasi_concave_oracle, positionwise_relabel_labels,
+                     random_quasi_concave)
 
 
 def _scan_distance(a, b):
@@ -70,6 +71,22 @@ class TestQuasiConcaveCheck:
         assert is_quasi_concave([3, 2, 1])
         assert not is_quasi_concave([3, 1, 2])
         assert not is_quasi_concave([0, 2, 1, 1, 2])
+        assert is_quasi_concave([])
+        assert is_quasi_concave([7])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 3), max_size=12).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=6).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]), max_size=10).map(
+            lambda v: np.array(v, dtype=np.uint64)),
+        st.lists(st.floats(allow_nan=True, width=64), max_size=8).map(
+            lambda v: np.array(v, dtype=np.float64)),
+        st.lists(st.sampled_from([-1.5, 0.0, 2.0]), max_size=10).map(
+            lambda v: np.array(v, dtype=np.float64))))
+    def test_matches_the_scan(self, scores):
+        assert is_quasi_concave(scores) == is_quasi_concave_oracle(scores)
 
 
 def _perturb_same_peak(rng, scores, n):

@@ -4,6 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedp import (
     IppParams,
@@ -27,7 +29,8 @@ from slicedp import (
     trim_parameter,
     vertex_interval,
 )
-from support import clustered_instance, insertion_relabel_check
+from support import (clustered_instance, embed_oracle, insertion_relabel_check,
+                     one_heavy_round_oracle)
 
 
 class TestParameters:
@@ -193,6 +196,62 @@ class TestBalanceStatistic:
             assert zone <= 2 * t
             checked += 1
         assert checked == 200
+
+
+@st.composite
+def heavy_path_cases(draw):
+    """(bits, data): uniform, all-equal, clustered, or split across the
+    root's midpoint 2^(L-1) with exact and near ties."""
+    bits = draw(st.integers(1, 64))
+    value = st.integers(0, (1 << bits) - 1)
+    kind = draw(st.sampled_from(["uniform", "equal", "clustered", "boundary"]))
+    n = draw(st.integers(1, 40))
+    if kind == "uniform":
+        return bits, draw(st.lists(value, min_size=n, max_size=n))
+    if kind == "equal":
+        return bits, [draw(value)] * n
+    if kind == "clustered":
+        return bits, [draw(value)] * n + draw(st.lists(value, max_size=4))
+    half = 1 << (bits - 1)
+    ties = st.sampled_from([half - 1, half])
+    return bits, [half - 1] * n + [half] * n + draw(st.lists(ties, max_size=2))
+
+
+def _assert_walk_matches_oracle(data, u, seed, t, epsilon):
+    """gamma, the order map's rows and one heavy round (with the generator
+    state after it) agree with the per-vertex descent; returns the oracle's
+    (pairs, gamma, path)."""
+    pairs, gamma_value, path = embed_oracle(data, u)
+    assert gamma(data, u) == gamma_value
+    assert [tuple(r) for r in embed_order_map(u).apply(data).tolist()] == pairs
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert one_heavy_round(data, u, t, epsilon, rng) == \
+        one_heavy_round_oracle(data, u, t, epsilon, oracle_rng)
+    assert rng.random() == oracle_rng.random()
+    return pairs, gamma_value, path
+
+
+class TestHeavyPathWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(heavy_path_cases(), st.integers(0, 2 ** 32 - 1), st.integers(1, 60),
+           st.sampled_from([0.1, 1.0]))
+    def test_matches_the_per_vertex_descent(self, case, seed, t, epsilon):
+        bits, values = case
+        # a list mixing values on both sides of 2^63 would pass through float64
+        data = np.array(values, dtype=np.uint64)
+        u = Universe(bits)
+        pairs, gamma_value, path = _assert_walk_matches_oracle(data, u, seed, t, epsilon)
+        out = embed(data, u)
+        assert (out.pairs, out.gamma, out.path) == (pairs, gamma_value, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 63).flatmap(lambda bits: st.tuples(
+        st.just(bits), st.lists(st.integers(0, (2 << bits) - 1), min_size=1, max_size=30))),
+        st.integers(0, 2 ** 32 - 1))
+    def test_values_beyond_the_domain_weigh_nothing(self, case, seed):
+        bits, values = case
+        _assert_walk_matches_oracle(np.array(values, dtype=np.uint64), Universe(bits),
+                                    seed, 4, 1.0)
 
 
 class TestOneHeavyRound:
