@@ -81,6 +81,30 @@ def descending_map() -> OrderMap:
     return OrderMap("descending", lambda a: np.sort(a, kind="stable")[::-1])
 
 
+def _row_order(a: np.ndarray, priority) -> np.ndarray:
+    """Stable argsort of rows by the columns in `priority`, first one primary.
+
+    Nonnegative integer columns are packed, by their bit widths, into as few
+    uint64 keys as fit; equal packed keys mean equal rows, so the order is
+    the one a lexsort with one key per column gives.
+    """
+    cols = [a[:, i] for i in priority]
+    if a.dtype.kind in "ui" and a.size and int(a.min()) >= 0:
+        keys, used = [], 64
+        for col in cols:
+            width = max(int(col.max()).bit_length(), 1)
+            if used + width > 64:
+                keys.append(col.astype(np.uint64))
+                used = width
+            else:
+                keys[-1] = (keys[-1] << np.uint64(width)) | col.astype(np.uint64)
+                used += width
+        cols = keys
+    if len(cols) == 1:
+        return np.argsort(cols[0], kind="stable")
+    return np.lexsort(tuple(reversed(cols)))
+
+
 def axis_map(axis: int, reverse: bool = False) -> OrderMap:
     """Order rows by coordinate `axis`, ties by the remaining coordinates.
 
@@ -88,9 +112,7 @@ def axis_map(axis: int, reverse: bool = False) -> OrderMap:
     """
 
     def apply(a: np.ndarray) -> np.ndarray:
-        keys = [a[:, i] for i in range(a.shape[1] - 1, -1, -1) if i != axis]
-        keys.append(a[:, axis])
-        order = np.lexsort(tuple(keys))
+        order = _row_order(a, [axis] + [i for i in range(a.shape[1]) if i != axis])
         if reverse:
             order = order[::-1]
         return a[order]

@@ -255,3 +255,11 @@ def is_quasi_concave_oracle(scores) -> bool:
         elif arr[i] < arr[i - 1]:
             fallen = True
     return True
+
+
+def axis_order_oracle(rows, axis, reverse=False):
+    """Rows by coordinate `axis`, ties by the other coordinates in index
+    order, with one lexsort key per column."""
+    keys = [rows[:, i] for i in range(rows.shape[1] - 1, -1, -1) if i != axis]
+    order = np.lexsort(tuple(keys + [rows[:, axis]]))
+    return rows[order[::-1] if reverse else order]

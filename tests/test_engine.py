@@ -23,7 +23,7 @@ from slicedp import (
     select_and_compute,
 )
 
-from support import chi_squared_critical
+from support import axis_order_oracle, chi_squared_critical
 
 
 class TestDataset:
@@ -70,6 +70,21 @@ class TestOrderMaps:
         assert asc[:, 0].tolist() == [1, 3, 3]
         desc = axis_map(1, reverse=True).apply(rows)
         assert desc[:, 1].tolist() == [9, 5, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(0, d - 1), st.integers(0, 40),
+        st.sampled_from([(np.uint64, 0, 3), (np.uint64, 0, (1 << 16) - 1),
+                         (np.uint64, 0, (1 << 64) - 1), (np.int64, -3, 3),
+                         (np.int64, 0, (1 << 40) - 1)]))),
+        st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_axis_map_matches_a_lexsort_per_column(self, shape, reverse, seed):
+        d, axis, n, (dtype, lo, hi) = shape
+        rows = np.random.default_rng(seed).integers(lo, hi, size=(n, d), endpoint=True,
+                                                    dtype=dtype)
+        out = axis_map(axis, reverse).apply(rows)
+        assert out.dtype == rows.dtype
+        assert out.tolist() == axis_order_oracle(rows, axis, reverse).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=30),
