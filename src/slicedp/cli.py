@@ -22,6 +22,7 @@ from .engine import (Dataset, SliceComputation, ascending_map, holder_call_cap,
 from .learners import (learn_rectangles, learn_threshold_realizable, load_labeled_csv,
                        threshold_sample_size)
 from .quasiconcave import load_qc_csv, qc_optimize
+from .tables import read_int_table
 from .sync import (direct_run, estimate_tv, simulate, sync_gamma,
                    sync_map_exact_dist)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
@@ -59,25 +60,17 @@ class RunConfig:
 
 def load_dataset(path, bit_length: int) -> Dataset:
     """Newline-delimited unsigned decimal integers; blank lines are skipped."""
-    values = []
-    limit = 1 << bit_length
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not an integer: {text!r}")
-            if value < 0:
-                raise ValueError(f"{path}: line {lineno}: negative value {value}")
-            if value >= limit:
-                raise ValueError(
-                    f"{path}: line {lineno}: value {value} out of range for "
-                    f"{bit_length}-bit domain (must be < {limit})")
-            values.append(value)
-    return Dataset(np.asarray(values, dtype=np.uint64), bit_length)
+    table = read_int_table(path, np.uint64, header=False)
+    values = table.values
+    if values.shape[1] != 1:
+        raise table.error(0, f"expected one integer per line, got {values.shape[1]} cells")
+    values = values[:, 0]
+    if bit_length < 64:
+        limit = 1 << bit_length
+        table.reject(values >= np.uint64(limit), lambda i: (
+            f"value {values[i]} out of range for {bit_length}-bit domain "
+            f"(must be < {limit})"))
+    return Dataset(values, bit_length)
 
 
 def _record(config: RunConfig, parameters: dict, payload, success: bool,

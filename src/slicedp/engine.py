@@ -36,14 +36,17 @@ class Dataset:
     """
 
     def __init__(self, elements, bit_length: Optional[int] = None):
-        arr = elements.elements if isinstance(elements, Dataset) else np.asarray(elements)
+        arr = as_elements(elements)
         if bit_length is not None:
             if not (1 <= bit_length <= 64):
                 raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
+            if arr.size:
+                if arr.dtype.kind != "u" and arr.min() < 0:
+                    raise ValueError(f"negative element {arr.min()} in {bit_length}-bit domain")
+                if int(arr.max()) >= (1 << bit_length):
+                    raise ValueError(
+                        f"element {int(arr.max())} out of range for {bit_length}-bit domain")
             arr = arr.astype(np.uint64)
-            if arr.size and bit_length < 64 and int(arr.max()) >= (1 << bit_length):
-                raise ValueError(
-                    f"element {int(arr.max())} out of range for {bit_length}-bit domain")
         self.elements = arr
         self.bit_length = bit_length
 
@@ -56,7 +59,13 @@ def as_elements(data) -> np.ndarray:
         return data.elements
     if isinstance(data, np.ndarray):
         return data
-    return np.asarray(data)
+    arr = np.asarray(data)
+    if arr.dtype.kind == "f" and arr.size:
+        # numpy rounds integers that share no integer dtype through float64
+        exact = np.asarray(data, dtype=object)
+        if all(isinstance(v, (int, np.integer)) for v in exact.flat):
+            return exact.astype(np.uint64) if exact.min() >= 0 else exact
+    return arr
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ interior point on each, paying composition once for all 2d slices; there is
 no sqrt(d) factor in the privacy cost.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -20,6 +19,7 @@ import numpy as np
 
 from .engine import Dataset, RscSession, SliceComputation, axis_map, select_and_compute
 from .mechanisms import PrivacyBudget, sample_laplace
+from .tables import read_int_table
 from .treelog import Universe, ipp, regime_threshold
 
 __all__ = [
@@ -179,32 +179,20 @@ def learn_rectangles(sample: LabeledSample, epsilon: float, delta: float,
 
 def load_labeled_csv(path, bit_length: int) -> LabeledSample:
     """Rows of d coordinates plus a trailing 0/1 label."""
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                values = [int(cell) for cell in row]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"line {lineno}: non-integer entry in {row!r}")
-            if len(values) < 2:
-                raise ValueError(f"line {lineno}: need at least one coordinate and a label")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(f"line {lineno}: expected {width} columns, got {len(values)}")
-            if values[-1] not in (0, 1):
-                raise ValueError(f"line {lineno}: label must be 0 or 1, got {values[-1]}")
-            rows.append(values)
-    if not rows:
-        raise ValueError("labeled file has no rows")
-    arr = np.asarray(rows, dtype=np.int64)
-    points = arr[:, :-1].astype(np.uint64)
+    table = read_int_table(path, np.uint64)
+    values = table.values
+    if not values.shape[0]:
+        raise ValueError(f"{path}: labeled file has no rows")
+    if values.shape[1] < 2:
+        raise table.error(0, "need at least one coordinate and a label")
+    points, labels = values[:, :-1], values[:, -1]
+    table.reject(labels > 1, lambda i: f"label must be 0 or 1, got {labels[i]}")
+    if bit_length < 64:
+        limit = 1 << bit_length
+        table.reject((points >= np.uint64(limit)).any(axis=1), lambda i: (
+            f"coordinate {points[i].max()} out of range for {bit_length}-bit "
+            f"domain (must be < {limit})"))
     if points.shape[1] == 1:
         points = points[:, 0]
-    return LabeledSample(points=points, labels=arr[:, -1],
+    return LabeledSample(points=points, labels=labels,
                          universe=Universe(bit_length))

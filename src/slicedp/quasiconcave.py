@@ -9,7 +9,6 @@ universe-chain reduction used to demonstrate the matching hardness mechanics.
 """
 
 import bisect
-import csv
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .engine import Dataset, RscSession
 from .mechanisms import PrivacyBudget, sample_laplace
+from .tables import read_int_table
 from .treelog import (IppParams, RegimeError, Universe, log_star, treelog,
                       trim_parameter)
 
@@ -140,6 +140,9 @@ def cumulative_ipp(universe: Universe, data, epsilon: float, delta: float,
                    rsc_session_factory=factory, strict=True)
 
 
+QC_DOMAIN_CAP = 1 << 26
+
+
 @dataclass(frozen=True)
 class QcInstance:
     """An enumerable solution domain with a quasi-concave integer score table."""
@@ -148,7 +151,7 @@ class QcInstance:
 
     def __post_init__(self):
         arr = np.asarray(self.scores, dtype=np.int64)
-        if not (1 <= arr.size <= (1 << 26)):
+        if not (1 <= arr.size <= QC_DOMAIN_CAP):
             raise ValueError(f"domain size must lie in [1, 2^26], got {arr.size}")
         if arr.min() < 0:
             raise ValueError("scores must be nonnegative")
@@ -260,28 +263,22 @@ def hardness_reduction(blackbox: Callable, data, rng: np.random.Generator,
 
 
 def load_qc_csv(path) -> QcInstance:
-    """Read (y, score) rows; missing y values score 0."""
-    entries = {}
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"line {lineno}: expected 'y,score', got {row!r}")
-            try:
-                y, score = int(row[0]), int(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"line {lineno}: non-integer entry in {row!r}")
-            if y < 0:
-                raise ValueError(f"line {lineno}: negative solution index {y}")
-            if y in entries:
-                raise ValueError(f"line {lineno}: duplicate solution index {y}")
-            entries[y] = score
-    if not entries:
-        raise ValueError("score file has no rows")
-    scores = np.zeros(max(entries) + 1, dtype=np.int64)
-    for y, score in entries.items():
-        scores[y] = score
+    """Read (y, score) rows; missing y values score 0 and cells after the
+    second are ignored."""
+    table = read_int_table(path, np.int64, usecols=(0, 1))
+    y, score = table.values.T
+    if not y.size:
+        raise ValueError(f"{path}: score file has no rows")
+    table.reject(y < 0, lambda i: f"negative solution index {y[i]}")
+    # the cap comes before the table is allocated
+    table.reject(y >= QC_DOMAIN_CAP, lambda i: (
+        f"solution index {y[i]} is not below the 2^26 domain cap"))
+    seen = np.zeros(int(y.max()) + 1, dtype=bool)
+    seen[y] = True
+    if np.count_nonzero(seen) < y.size:
+        repeated = np.ones(y.size, dtype=bool)
+        repeated[np.unique(y, return_index=True)[1]] = False
+        table.reject(repeated, lambda i: f"duplicate solution index {y[i]}")
+    scores = np.zeros(seen.size, dtype=np.int64)
+    scores[y] = score
     return QcInstance(scores)

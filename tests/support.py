@@ -5,6 +5,7 @@ are recomputed with plain Python or scipy so library outputs are checked
 against a second implementation, not against themselves.
 """
 
+import csv
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -12,8 +13,8 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
-from slicedp import (TreeVertex, left_right_leaf, sample_laplace, subtree_weight,
-                     vertex_interval)
+from slicedp import (Dataset, LabeledSample, QcInstance, TreeVertex, Universe,
+                     left_right_leaf, sample_laplace, subtree_weight, vertex_interval)
 
 
 def chi_squared_two_sample(counts_a, counts_b, min_expected=5.0):
@@ -263,3 +264,87 @@ def axis_order_oracle(rows, axis, reverse=False):
     keys = [rows[:, i] for i in range(rows.shape[1] - 1, -1, -1) if i != axis]
     order = np.lexsort(tuple(keys + [rows[:, axis]]))
     return rows[order[::-1] if reverse else order]
+
+
+# The input loaders as they were before the numpy-backed reader: csv.reader
+# (or a line loop) and one Python int() per cell.
+
+def load_dataset_oracle(path, bit_length):
+    values = []
+    limit = 1 << bit_length
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not an integer: {text!r}")
+            if value < 0:
+                raise ValueError(f"{path}: line {lineno}: negative value {value}")
+            if value >= limit:
+                raise ValueError(
+                    f"{path}: line {lineno}: value {value} out of range for "
+                    f"{bit_length}-bit domain (must be < {limit})")
+            values.append(value)
+    return Dataset(np.asarray(values, dtype=np.uint64), bit_length)
+
+
+def load_labeled_csv_oracle(path, bit_length):
+    rows = []
+    width = None
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                values = [int(cell) for cell in row]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                raise ValueError(f"line {lineno}: non-integer entry in {row!r}")
+            if len(values) < 2:
+                raise ValueError(f"line {lineno}: need at least one coordinate and a label")
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ValueError(f"line {lineno}: expected {width} columns, got {len(values)}")
+            if values[-1] not in (0, 1):
+                raise ValueError(f"line {lineno}: label must be 0 or 1, got {values[-1]}")
+            rows.append(values)
+    if not rows:
+        raise ValueError("labeled file has no rows")
+    arr = np.asarray(rows, dtype=np.int64)
+    points = arr[:, :-1].astype(np.uint64)
+    if points.shape[1] == 1:
+        points = points[:, 0]
+    return LabeledSample(points=points, labels=arr[:, -1],
+                         universe=Universe(bit_length))
+
+
+def load_qc_csv_oracle(path):
+    entries = {}
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2:
+                raise ValueError(f"line {lineno}: expected 'y,score', got {row!r}")
+            try:
+                y, score = int(row[0]), int(row[1])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                raise ValueError(f"line {lineno}: non-integer entry in {row!r}")
+            if y < 0:
+                raise ValueError(f"line {lineno}: negative solution index {y}")
+            if y in entries:
+                raise ValueError(f"line {lineno}: duplicate solution index {y}")
+            entries[y] = score
+    if not entries:
+        raise ValueError("score file has no rows")
+    scores = np.zeros(max(entries) + 1, dtype=np.int64)
+    for y, score in entries.items():
+        scores[y] = score
+    return QcInstance(scores)

@@ -170,6 +170,26 @@ class TestLearnerCommands:
         assert rc == 1
         assert "dims" in record["payload"]["error"]
 
+    def test_rect_loads_coordinates_above_two_to_the_63(self, tmp_path):
+        path = tmp_path / "rect.csv"
+        path.write_text(f"{(1 << 63) + 5},1\n{(1 << 64) - 1},0\n")
+        rc, record = run(tmp_path, "big.json",
+                         ["learn-rect", "--seed", "5", "--input", str(path),
+                          "--bits", "64"])
+        assert rc == 0
+        assert record["success"] is True
+        assert record["parameters"]["n"] == 2
+
+    def test_rect_rejects_negative_coordinates_at_64_bits(self, tmp_path):
+        path = tmp_path / "rect.csv"
+        path.write_text("3,1\n-5,1\n")
+        rc, record = run(tmp_path, "neg.json",
+                         ["learn-rect", "--seed", "5", "--input", str(path),
+                          "--bits", "64"])
+        assert rc == 1
+        assert record["success"] is False
+        assert "line 2: negative" in record["payload"]["error"]
+
     def test_rect_epsilon_above_one_is_rejected(self, tmp_path):
         path = tmp_path / "rect.csv"
         path.write_text("1,2,1\n3,4,0\n")
@@ -190,6 +210,16 @@ class TestOptimizerCommand:
         assert rc == 0
         assert record["payload"]["branch"] == "small-gap"
         assert record["payload"]["solution"] == 0
+
+    def test_index_beyond_the_domain_cap_is_a_failure_record(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1000000000000,5\n")
+        rc, record = run(tmp_path, "huge.json",
+                         ["qc-opt", "--seed", "5", "--input", str(path)])
+        assert rc == 1
+        assert record["success"] is False
+        assert "line 1" in record["payload"]["error"]
+        assert "2^26" in record["payload"]["error"]
 
     def test_duplicate_rows_error(self, tmp_path):
         path = tmp_path / "dup.csv"

@@ -23,6 +23,7 @@ from slicedp import (
     select_and_compute,
 )
 
+from slicedp.engine import as_elements
 from support import axis_order_oracle, chi_squared_critical
 
 
@@ -41,6 +42,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([0], 65)
         assert Dataset([2**63], 64).elements[0] == 2**63
+
+    def test_lists_straddling_two_to_the_63_stay_exact(self):
+        elements = Dataset([2**63 - 1, 2**63], 64).elements
+        assert elements.dtype == np.uint64
+        assert elements.tolist() == [2**63 - 1, 2**63]
+        rows = Dataset([[1, 2**63], [2**63 - 1, 0]], 64).elements
+        assert rows.tolist() == [[1, 2**63], [2**63 - 1, 0]]
+        assert as_elements([2**64 - 1, 5]).tolist() == [2**64 - 1, 5]
+
+    def test_negative_elements_are_rejected_at_every_bit_length(self):
+        for bits in (1, 8, 63, 64):
+            for data in ([-5], [3, -1], [-1, 2**63], np.array([-2, 4])):
+                with pytest.raises(ValueError, match="negative"):
+                    Dataset(data, bits)
 
 
 def _adjacent_lists(mapped_short, mapped_long):
