@@ -1,6 +1,5 @@
 """Tour of the base mechanisms: geometric slice noise, Laplace noise,
-exponential-mechanism selection, bounded-quality selection, and the
-above/below threshold test.
+exponential-mechanism selection and bounded-quality selection.
 
 Run: python3 demos/noise_and_selection.py
 """
@@ -9,14 +8,12 @@ import numpy as np
 
 from slicedp import (
     QualityFunction,
-    SvtSession,
     choosing_error_bound,
     choosing_mechanism,
     exponential_mechanism,
     geometric_pmf,
     sample_geometric,
     sample_laplace,
-    svt_query,
 )
 
 rng = np.random.default_rng(7)
@@ -65,18 +62,3 @@ falls = sum(choosing_mechanism(quality, sparse, 1.0, 0.1, 0.1, rng,
                                fallback=-1) == -1 for _ in range(200))
 print(f"  with only 20 dominant points the fallback fires {falls}/200")
 
-print()
-print("== above/below threshold stream ==")
-session = SvtSession(dataset=np.arange(100), threshold=50.0, epsilon=1.0,
-                     rng=rng)
-queries = {
-    "count of values < 10": lambda d: float(np.sum(d < 10)),
-    "count of values < 30": lambda d: float(np.sum(d < 30)),
-    "count of values < 95": lambda d: float(np.sum(d < 95)),
-}
-for name, f in queries.items():
-    print(f"  {name}: {svt_query(session, f)}")
-try:
-    svt_query(session, lambda d: float(len(d)))
-except RuntimeError as exc:
-    print(f"  next query raises: {exc}")

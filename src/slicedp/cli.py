@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+import traceback
 from typing import Optional
 
 import numpy as np
@@ -23,39 +23,26 @@ from .learners import (learn_rectangles, learn_threshold_realizable, load_labele
                        threshold_sample_size)
 from .quasiconcave import load_qc_csv, qc_optimize
 from .tables import read_int_table
-from .sync import (direct_run, estimate_tv, simulate, sync_gamma,
+from .sync import (AuditResult, direct_run, estimate_tv, simulate, sync_gamma,
                    sync_map_exact_dist)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
-                      trim_parameter)
+                      slice_steps, trim_parameter)
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    """Validated common parameters of a CLI invocation."""
-
-    command: str
-    seed: int
-    epsilon: float = 1.0
-    delta: float = 1e-3
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    trials: int = 1
-    bits: int = 32
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0 <= self.seed < (1 << 64)):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not (1 <= self.bits <= 64):
-            raise ValueError(f"bits must lie in [1, 64], got {self.bits}")
+def _check_common(args: argparse.Namespace) -> None:
+    """The parameter checks every subcommand shares, in a fixed order."""
+    if not (0 <= args.seed < (1 << 64)):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
+    if not (args.epsilon >= 0 and math.isfinite(args.epsilon)):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {args.epsilon}")
+    if not (0.0 <= args.delta < 1.0):
+        raise ValueError(f"delta must lie in [0, 1), got {args.delta}")
+    if "trials" in args and args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
+    if "bits" in args and not (1 <= args.bits <= 64):
+        raise ValueError(f"bits must lie in [1, 64], got {args.bits}")
 
 
 def load_dataset(path, bit_length: int) -> Dataset:
@@ -73,11 +60,11 @@ def load_dataset(path, bit_length: int) -> Dataset:
     return Dataset(values, bit_length)
 
 
-def _record(config: RunConfig, parameters: dict, payload, success: bool,
+def _record(args: argparse.Namespace, parameters: dict, payload, success: bool,
             started: float) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": config.command,
+        "command": args.command,
         "parameters": parameters,
         "payload": payload,
         "success": bool(success),
@@ -103,65 +90,66 @@ def _trial_rng(seed: int, *path: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # command implementations, each returning (parameters, payload, success)
 
-def _cmd_ipp(config: RunConfig):
-    data = load_dataset(config.input_path, config.bits)
-    universe = Universe(config.bits)
-    t = trim_parameter(config.epsilon, config.delta)
+def _cmd_ipp(args: argparse.Namespace):
+    data = load_dataset(args.input, args.bits)
+    universe = Universe(args.bits)
+    t = trim_parameter(args.epsilon, args.delta)
     ls = log_star(universe.size)
-    required = regime_threshold(universe, config.epsilon, config.delta)
-    cost = privacy_cost(config.epsilon, config.delta, tau=3, k=1,
-                        delta_hat=config.delta)
+    required = regime_threshold(universe, args.epsilon, args.delta)
+    # at L <= 3 the solver opens no session; privacy_cost needs tau >= 1
+    cost = privacy_cost(args.epsilon, args.delta, tau=max(slice_steps(universe), 1),
+                        k=1, delta_hat=args.delta)
     parameters = {
-        "epsilon": config.epsilon, "delta": config.delta, "bits": config.bits,
-        "seed": config.seed, "t": t, "log_star": ls, "n": len(data),
+        "epsilon": args.epsilon, "delta": args.delta, "bits": args.bits,
+        "seed": args.seed, "t": t, "log_star": ls, "n": len(data),
         "required_n": required,
         "regime_inequality": f"n = {len(data)} >= 10 * t * log*|X| = {required}",
         "accounting": {"epsilon_total": cost.epsilon, "delta_total": cost.delta,
-                       "holder_call_cap": holder_call_cap(config.delta)},
+                       "holder_call_cap": holder_call_cap(args.delta)},
     }
-    rng = _trial_rng(config.seed, 0)
-    value = ipp(universe, data, config.epsilon, config.delta, rng)
+    rng = _trial_rng(args.seed, 0)
+    value = ipp(universe, data, args.epsilon, args.delta, rng)
     lo, hi = int(data.elements.min()), int(data.elements.max())
     payload = {"value": int(value), "interior": bool(lo <= int(value) <= hi)}
     return parameters, payload, True
 
 
-def _cmd_learn_threshold(config: RunConfig):
-    sample = load_labeled_csv(config.input_path, config.bits)
-    xi, beta = config.extras["xi"], config.extras["beta"]
+def _cmd_learn_threshold(args: argparse.Namespace):
+    sample = load_labeled_csv(args.input, args.bits)
+    xi, beta = args.xi, args.beta
     if not (0.0 < xi < 1.0 and 0.0 < beta < 1.0):
         raise ValueError("xi and beta must lie in (0, 1)")
     required = threshold_sample_size(sample.universe, xi, beta,
-                                     config.epsilon, config.delta)
+                                     args.epsilon, args.delta)
     parameters = {
-        "epsilon": config.epsilon, "delta": config.delta, "bits": config.bits,
-        "seed": config.seed, "xi": xi, "beta": beta, "n": len(sample),
+        "epsilon": args.epsilon, "delta": args.delta, "bits": args.bits,
+        "seed": args.seed, "xi": xi, "beta": beta, "n": len(sample),
         "required_n": required,
         "regime_inequality": f"n = {len(sample)} >= {required}",
     }
-    rng = _trial_rng(config.seed, 0)
-    hypothesis = learn_threshold_realizable(sample, xi, beta, config.epsilon,
-                                            config.delta, rng)
+    rng = _trial_rng(args.seed, 0)
+    hypothesis = learn_threshold_realizable(sample, xi, beta, args.epsilon,
+                                            args.delta, rng)
     errors = int(np.sum(hypothesis.predict(sample.points) != sample.labels))
     payload = {"threshold": int(hypothesis.threshold),
                "empirical_error": errors / max(len(sample), 1)}
     return parameters, payload, True
 
 
-def _cmd_learn_rect(config: RunConfig):
-    sample = load_labeled_csv(config.input_path, config.bits)
+def _cmd_learn_rect(args: argparse.Namespace):
+    sample = load_labeled_csv(args.input, args.bits)
     points = sample.points if sample.points.ndim == 2 else \
         sample.points.reshape(-1, 1)
-    dims = config.extras.get("dims") or points.shape[1]
+    dims = points.shape[1] if args.dims is None else args.dims
     if dims != points.shape[1]:
         raise ValueError(f"--dims {dims} does not match file width {points.shape[1]}")
     parameters = {
-        "epsilon": config.epsilon, "delta": config.delta, "bits": config.bits,
-        "seed": config.seed, "dims": dims, "n": len(sample),
+        "epsilon": args.epsilon, "delta": args.delta, "bits": args.bits,
+        "seed": args.seed, "dims": dims, "n": len(sample),
         "positives": int(sample.labels.sum()),
     }
-    rng = _trial_rng(config.seed, 0)
-    hypothesis = learn_rectangles(sample, config.epsilon, config.delta, rng)
+    rng = _trial_rng(args.seed, 0)
+    hypothesis = learn_rectangles(sample, args.epsilon, args.delta, rng)
     errors = int(np.sum(hypothesis.predict(points) != sample.labels))
     payload = {
         "form": "zero" if hypothesis.zero else "rectangle",
@@ -172,25 +160,24 @@ def _cmd_learn_rect(config: RunConfig):
     return parameters, payload, True
 
 
-def _cmd_qc_opt(config: RunConfig):
-    instance = load_qc_csv(config.input_path)
-    constant_c = config.extras["constant_c"]
+def _cmd_qc_opt(args: argparse.Namespace):
+    instance = load_qc_csv(args.input)
     parameters = {
-        "epsilon": config.epsilon, "delta": config.delta, "seed": config.seed,
-        "constant_c": constant_c, "domain_size": instance.size,
+        "epsilon": args.epsilon, "delta": args.delta, "seed": args.seed,
+        "constant_c": args.constant_c, "domain_size": instance.size,
     }
-    rng = _trial_rng(config.seed, 0)
-    result = qc_optimize(instance, config.epsilon, config.delta, rng, constant_c)
+    rng = _trial_rng(args.seed, 0)
+    result = qc_optimize(instance, args.epsilon, args.delta, rng, args.constant_c)
     payload = {"solution": result.solution, "score": result.score,
                "opt_estimate": result.opt_estimate,
                "error_bound": result.error_bound, "branch": result.branch}
     return parameters, payload, True
 
 
-def _cmd_audit_sync(config: RunConfig):
-    epsilon = config.epsilon
+def _cmd_audit_sync(args: argparse.Namespace):
+    epsilon = args.epsilon
     gamma_value = sync_gamma(epsilon)
-    cutoff = config.extras.get("cutoff") or max(gamma_value + 1, 12)
+    cutoff = max(gamma_value + 1, 12) if args.cutoff is None else args.cutoff
     dist0 = sync_map_exact_dist(0, epsilon, cutoff)
     dist1 = sync_map_exact_dist(1, epsilon, cutoff)
     p0 = dict(dist0.outcomes)
@@ -212,7 +199,7 @@ def _cmd_audit_sync(config: RunConfig):
     sync_ok = min(sync0, sync1) >= 1.0 / 6.0 - 1e-12
     support_ok = all(k[0] >= 0 and k[1] in (0, 1) for k in set(p0) | set(p1))
 
-    parameters = {"epsilon": epsilon, "seed": config.seed, "gamma": gamma_value,
+    parameters = {"epsilon": epsilon, "seed": args.seed, "gamma": gamma_value,
                   "cutoff": cutoff}
     payload = {
         "outcomes": outcomes,
@@ -232,52 +219,45 @@ def _audit_instance(size: int):
     return data, 0, algorithm
 
 
-def _cmd_audit_sim(config: RunConfig):
-    steps = config.extras["tau"]
-    size = config.extras["size"]
-    epsilon = config.epsilon
-    data, x, algorithm = _audit_instance(size)
-    script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(steps)]
+def _cmd_audit_sim(args: argparse.Namespace):
+    epsilon = args.epsilon
+    data, x, algorithm = _audit_instance(args.size)
+    script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(args.tau)]
 
-    counts = np.empty(config.trials, dtype=np.int64)
+    counts = np.empty(args.trials, dtype=np.int64)
     sim_outputs = []
     direct_outputs = []
-    for trial in range(config.trials):
+    for trial in range(args.trials):
         transcript = simulate(data, x, 1, script, epsilon,
-                              _trial_rng(config.seed, 2, trial))
+                              _trial_rng(args.seed, 2, trial))
         counts[trial] = transcript.holder_calls
         sim_outputs.append(tuple(
             simulate(data, x, 0, script, epsilon,
-                     _trial_rng(config.seed, 0, trial)).published))
+                     _trial_rng(args.seed, 0, trial)).published))
         direct_outputs.append(tuple(
-            direct_run(data, script, epsilon, _trial_rng(config.seed, 1, trial))))
+            direct_run(data, script, epsilon, _trial_rng(args.seed, 1, trial))))
 
     tv = estimate_tv(sim_outputs, direct_outputs)
-    histogram = {}
-    for c in counts.tolist():
-        histogram[c] = histogram.get(c, 0) + 1
+    audit = AuditResult.from_counts(counts)
     tail = []
-    tail_ok = True
-    for w in range(1, 16):
-        prob = float(np.mean(counts > w))
+    for w, prob in audit.tail[:15]:
         bound = (5.0 / 6.0) ** w
-        se = math.sqrt(max(bound * (1 - bound), 1e-12) / config.trials)
-        ok = prob <= bound + 3.0 * se
-        tail_ok = tail_ok and ok
-        tail.append({"w": w, "prob": prob, "bound": bound, "within": ok})
+        se = math.sqrt(max(bound * (1 - bound), 1e-12) / args.trials)
+        tail.append({"w": w, "prob": prob, "bound": bound,
+                     "within": prob <= bound + 3.0 * se})
 
-    parameters = {"epsilon": epsilon, "seed": config.seed, "trials": config.trials,
-                  "tau": steps, "size": size}
+    parameters = {"epsilon": epsilon, "seed": args.seed, "trials": args.trials,
+                  "tau": args.tau, "size": args.size}
     payload = {
         "epsilon": epsilon,
-        "trials": config.trials,
+        "trials": args.trials,
         "histogram": [{"calls": int(c), "frequency": int(f)}
-                      for c, f in sorted(histogram.items())],
+                      for c, f in audit.histogram.items()],
         "tv_estimate": tv,
-        "mean_calls": float(counts.mean()),
+        "mean_calls": audit.mean,
         "tail": tail,
     }
-    return parameters, payload, tail_ok
+    return parameters, payload, all(row["within"] for row in tail)
 
 
 def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
@@ -320,41 +300,37 @@ def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
     return lo
 
 
-def _cmd_sweep(config: RunConfig):
-    bits_list = config.extras["bits_list"] or [8, 16, 32, 64]
+def _cmd_sweep(args: argparse.Namespace):
+    bits_list = args.bits_list or [8, 16, 32, 64]
     rows = []
     for bits in bits_list:
         universe = Universe(bits)
-        minimal = sweep_minimal_n(bits, config.epsilon, config.delta,
-                                  config.trials, config.seed)
+        minimal = sweep_minimal_n(bits, args.epsilon, args.delta,
+                                  args.trials, args.seed)
         rows.append({"L": bits, "log_star": log_star(universe.size),
                      "minimal_n": minimal})
     # the JSON record occupies output_path itself, so the table goes beside it
-    csv_path = config.output_path + ".csv" if config.output_path else None
+    csv_path = args.output + ".csv" if args.output else None
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["L", "log_star", "minimal_n"])
             writer.writeheader()
             writer.writerows(rows)
-    parameters = {"epsilon": config.epsilon, "delta": config.delta,
-                  "seed": config.seed, "trials": config.trials,
+    parameters = {"epsilon": args.epsilon, "delta": args.delta,
+                  "seed": args.seed, "trials": args.trials,
                   "bits_list": list(bits_list)}
     payload = {"rows": rows, "csv_path": csv_path}
     success = all(row["minimal_n"] > 0 for row in rows)
     return parameters, payload, success
 
 
-def _cmd_account(config: RunConfig):
-    tau = config.extras["tau"]
-    k = config.extras["k"]
-    delta_hat = config.extras["delta_hat"]
-    applications = config.extras["applications"]
-    cost = privacy_cost(config.epsilon, config.delta, tau, k, delta_hat,
-                        applications)
-    cap = holder_call_cap(delta_hat)
-    parameters = {"epsilon_step": config.epsilon, "delta_step": config.delta,
-                  "tau": tau, "k": k, "delta_hat": delta_hat,
-                  "applications": applications, "seed": config.seed}
+def _cmd_account(args: argparse.Namespace):
+    cost = privacy_cost(args.epsilon, args.delta, args.tau, args.k, args.delta_hat,
+                        args.applications)
+    cap = holder_call_cap(args.delta_hat)
+    parameters = {"epsilon_step": args.epsilon, "delta_step": args.delta,
+                  "tau": args.tau, "k": args.k, "delta_hat": args.delta_hat,
+                  "applications": args.applications, "seed": args.seed}
     payload = {
         "epsilon_total": cost.epsilon,
         "delta_total": cost.delta,
@@ -363,10 +339,10 @@ def _cmd_account(config: RunConfig):
         "delta_formula": "delta_hat + 2 * k * tau * delta",
     }
     table = [
-        ("per-step epsilon", config.epsilon),
-        ("per-step delta", config.delta),
-        ("slices tau", tau),
-        ("delayed computes k", k),
+        ("per-step epsilon", args.epsilon),
+        ("per-step delta", args.delta),
+        ("slices tau", args.tau),
+        ("delayed computes k", args.k),
         ("holder call cap w", cap),
         ("total epsilon", cost.epsilon),
         ("total delta", cost.delta),
@@ -451,50 +427,22 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extras = {}
-    for name in ("xi", "beta", "dims", "constant_c", "cutoff", "tau", "size",
-                 "k", "delta_hat", "applications", "bits_list"):
-        if hasattr(args, name):
-            extras[name] = getattr(args, name)
-    return RunConfig(
-        command=args.command,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        input_path=getattr(args, "input", None),
-        output_path=args.output,
-        trials=getattr(args, "trials", 1),
-        bits=getattr(args, "bits", 32) if args.command != "sweep" else 32,
-        extras=extras,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        config = _config_from_args(args)
-        parameters, payload, success = _HANDLERS[config.command](config)
-        record = _record(config, parameters, payload, success, started)
-    except (ValueError, OSError, KeyError) as exc:
-        payload = {"error": str(exc)}
+        _check_common(args)
+        parameters, payload, success = _HANDLERS[args.command](args)
+    except Exception as exc:
+        if not isinstance(exc, (ValueError, OSError)):
+            traceback.print_exc()  # a fault of the program, not of its input
+        parameters, payload, success = {"seed": args.seed}, {"error": str(exc)}, False
         if isinstance(exc, RegimeError):
             payload["required"] = exc.required
             payload["provided"] = exc.provided
             payload["violated_inequality"] = f"n = {exc.provided} < {exc.required}"
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": getattr(args, "command", None),
-            "parameters": {"seed": getattr(args, "seed", None)},
-            "payload": payload,
-            "success": False,
-            "wall_clock_sec": round(time.monotonic() - started, 6),
-        }
-        _emit(record, getattr(args, "output", None))
-        return 1
-    _emit(record, config.output_path)
-    return 0 if record["success"] else 1
+    _emit(_record(args, parameters, payload, success, started), args.output)
+    return 0 if success else 1
 
 
 if __name__ == "__main__":

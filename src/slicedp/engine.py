@@ -8,25 +8,12 @@ slices; `privacy_cost` reports the explicit conservative bound.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .mechanisms import PrivacyBudget, sample_geometric
 
-__all__ = [
-    "Dataset",
-    "OrderMap",
-    "SliceComputation",
-    "RscSession",
-    "select_and_compute",
-    "delayed_compute",
-    "privacy_cost",
-    "holder_call_cap",
-    "ascending_map",
-    "descending_map",
-    "axis_map",
-]
 
 class Dataset:
     """A multiset of domain elements; rows of a numpy array.
@@ -37,6 +24,10 @@ class Dataset:
 
     def __init__(self, elements, bit_length: Optional[int] = None):
         arr = as_elements(elements)
+        if arr.dtype.kind == "f":
+            bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
+            if bad.size:
+                raise ValueError(f"element {bad[0]} is not a whole number")
         if bit_length is not None:
             if not (1 <= bit_length <= 64):
                 raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
@@ -207,8 +198,16 @@ def holder_call_cap(delta_hat: float) -> int:
     return math.ceil(math.log(1.0 / delta_hat) / math.log(6.0 / 5.0))
 
 
+class PrivacyCost(NamedTuple):
+    """Accounted totals. Unlike a PrivacyBudget, delta may reach 1, where
+    the bound guarantees nothing."""
+
+    epsilon: float
+    delta: float
+
+
 def privacy_cost(epsilon_step: float, delta_step: float, tau: int, k: int,
-                 delta_hat: float, applications: int = 1) -> PrivacyBudget:
+                 delta_hat: float, applications: int = 1) -> PrivacyCost:
     """Conservative explicit privacy bound for RSC executions.
 
     Each first-phase holder call costs (3 eps, 2 delta), the number of calls
@@ -225,4 +224,4 @@ def privacy_cost(epsilon_step: float, delta_step: float, tau: int, k: int,
     eps_total = 3.0 * epsilon_step * max(applications, w) \
         + 2.0 * k * epsilon_step
     delta_total = delta_hat + 2.0 * k * tau * delta_step
-    return PrivacyBudget(eps_total, delta_total)
+    return PrivacyCost(eps_total, delta_total)

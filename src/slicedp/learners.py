@@ -22,17 +22,6 @@ from .mechanisms import PrivacyBudget, sample_laplace
 from .tables import read_int_table
 from .treelog import Universe, ipp, regime_threshold
 
-__all__ = [
-    "LabeledSample",
-    "Hypothesis",
-    "boundary_window_size",
-    "threshold_sample_size",
-    "learn_threshold_realizable",
-    "rectangle_gate_threshold",
-    "learn_rectangles",
-    "load_labeled_csv",
-]
-
 
 @dataclass(frozen=True)
 class LabeledSample:
@@ -159,8 +148,7 @@ def learn_rectangles(sample: LabeledSample, epsilon: float, delta: float,
         return Hypothesis(zero=True)
 
     m = regime_threshold(universe, epsilon, delta)
-    session = RscSession(positives, tau=2 * d, budget=PrivacyBudget(epsilon, delta),
-                         k=1, noisy_sizes=True)
+    session = RscSession(positives, tau=2 * d, budget=PrivacyBudget(epsilon, delta), k=1)
     intervals = []
     for axis in range(d):
         def solve(rows, axis=axis):

@@ -1,9 +1,8 @@
 """Core differentially private building blocks.
 
-Samplers (geometric, Laplace), the exponential mechanism, the choosing
-mechanism for k-bounded quality functions, and the AboveThreshold (sparse
-vector) session. Everything consumes an explicit ``numpy.random.Generator``
-so runs are reproducible from a seed.
+Samplers (geometric, Laplace), the exponential mechanism and the choosing
+mechanism for k-bounded quality functions. Everything consumes an explicit
+``numpy.random.Generator`` so runs are reproducible from a seed.
 """
 
 import math
@@ -11,24 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-TOP = "TOP"
-BOTTOM = "BOTTOM"
-
-__all__ = [
-    "TOP",
-    "BOTTOM",
-    "PrivacyBudget",
-    "QualityFunction",
-    "SvtSession",
-    "geometric_pmf",
-    "sample_geometric",
-    "sample_laplace",
-    "exponential_mechanism",
-    "choosing_mechanism",
-    "choosing_error_bound",
-    "svt_query",
-]
 
 
 @dataclass(frozen=True)
@@ -158,35 +139,3 @@ def choosing_mechanism(q: QualityFunction, dataset, epsilon: float, delta: float
     idx = int(rng.choice(len(positive), p=probs))
     return positive[idx][0]
 
-
-class SvtSession:
-    """AboveThreshold over a fixed dataset: answers sensitivity-1 threshold
-    queries until the first TOP, then halts.
-
-    Threshold noise Laplace(2/eps) is drawn once at creation; each query adds
-    Laplace(4/eps). If a query is answered TOP then f(S) >= c - (8/eps)ln(2m/beta)
-    with probability 1 - beta over m queries, and symmetrically for BOTTOM.
-    """
-
-    def __init__(self, dataset, threshold: float, epsilon: float, rng: np.random.Generator):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.dataset = dataset
-        self.threshold = float(threshold)
-        self.epsilon = float(epsilon)
-        self.noisy_threshold = self.threshold + sample_laplace(2.0 / epsilon, rng)
-        self.halted = False
-        self.queries_answered = 0
-        self._rng = rng
-
-
-def svt_query(session: SvtSession, f: Callable) -> str:
-    """Answer one threshold query; TOP halts the session."""
-    if session.halted:
-        raise RuntimeError("SVT session already halted; no further queries accepted")
-    noisy = float(f(session.dataset)) + sample_laplace(4.0 / session.epsilon, session._rng)
-    session.queries_answered += 1
-    if noisy >= session.noisy_threshold:
-        session.halted = True
-        return TOP
-    return BOTTOM

@@ -14,29 +14,11 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Dataset, RscSession
-from .mechanisms import PrivacyBudget, sample_laplace
+from .engine import Dataset
+from .mechanisms import sample_laplace
 from .tables import read_int_table
 from .treelog import (IppParams, RegimeError, Universe, log_star, treelog,
                       trim_parameter)
-
-__all__ = [
-    "QcInstance",
-    "QcResult",
-    "cumulative_distance",
-    "is_quasi_concave",
-    "build_increment_dataset",
-    "scaled_budget",
-    "cumulative_regime_threshold",
-    "cumulative_ipp",
-    "qc_optimize",
-    "chain_size",
-    "sample_code",
-    "encode_hard_instance",
-    "decode_hard_point",
-    "hardness_reduction",
-    "load_qc_csv",
-]
 
 
 def _as_sorted_list(data) -> list:
@@ -132,12 +114,9 @@ def cumulative_ipp(universe: Universe, data, epsilon: float, delta: float,
             f"cumulative interior point needs at least {required} points at "
             f"epsilon={epsilon}, delta={delta}, C={constant_c}, got {elements.shape[0]}",
             required=required, provided=elements.shape[0])
-    factory = lambda d, tau, k: RscSession(
-        d, tau, PrivacyBudget(eps_p, delta_p), k, noisy_sizes=False)
     params = IppParams(epsilon=eps_p, delta=delta_p, t=t_p,
                        rho=sample_laplace(1.0 / eps_p, rng))
-    return treelog(universe, elements, params, rng,
-                   rsc_session_factory=factory, strict=True)
+    return treelog(universe, elements, params, rng, noisy_sizes=False)
 
 
 QC_DOMAIN_CAP = 1 << 26

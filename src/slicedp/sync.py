@@ -18,23 +18,6 @@ import numpy as np
 from .engine import OrderMap, RscSession, SliceComputation, as_elements, select_and_compute
 from .mechanisms import PrivacyBudget, sample_geometric
 
-__all__ = [
-    "SyncOutcome",
-    "SyncDist",
-    "SimTranscript",
-    "AuditResult",
-    "DataHolder",
-    "sync_threshold",
-    "sync_gamma",
-    "sync_map",
-    "sync_map_exact_dist",
-    "holder_query",
-    "simulate",
-    "direct_run",
-    "audit_call_count",
-    "estimate_tv",
-]
-
 
 class SyncOutcome(NamedTuple):
     alpha: int
@@ -177,6 +160,8 @@ class DataHolder:
 
     def query(self, data: Sequence[int], x: int, q: int, algorithm: Optional[Callable],
               order_map: OrderMap, step: Optional[int] = None):
+        if q < 0:
+            raise ValueError(f"q must be nonnegative, got {q}")
         delta = sample_geometric(self.epsilon, self._rng)
         m_hat = q + delta
         base = list(data) + ([x] if self.b == 1 else [])
@@ -189,15 +174,6 @@ class DataHolder:
 
     def delayed(self, step: int, algorithm: Callable):
         return algorithm(np.asarray(self.stored[step], dtype=np.uint64))
-
-
-def holder_query(b: int, data, x: int, q: int, algorithm, order_map: OrderMap,
-                 epsilon: float, rng: np.random.Generator):
-    """One-shot data-holder query; returns (q_hat, beta, result)."""
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
-    return DataHolder(b, epsilon, rng).query(list(as_elements(data)), x, q,
-                                             algorithm, order_map)
 
 
 def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
@@ -297,19 +273,22 @@ class AuditResult:
     mean: float
     trials: int
 
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "AuditResult":
+        """Summary of the holder-call counts of a run of trials."""
+        return cls(histogram=dict(sorted(Counter(counts.tolist()).items())),
+                   tail=[(w, float(np.mean(counts > w))) for w in range(1, 21)],
+                   mean=float(counts.mean()), trials=int(counts.size))
+
 
 def audit_call_count(data, x: int, b: int, script, epsilon: float, trials: int,
                      rng: np.random.Generator) -> AuditResult:
     """Distribution of holder-call counts over repeated simulations."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    counts = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        counts[trial] = simulate(data, x, b, script, epsilon, rng).holder_calls
-    histogram = dict(sorted(Counter(counts.tolist()).items()))
-    tail = [(w, float(np.mean(counts > w))) for w in range(1, 21)]
-    return AuditResult(histogram=histogram, tail=tail,
-                       mean=float(counts.mean()), trials=trials)
+    return AuditResult.from_counts(np.array(
+        [simulate(data, x, b, script, epsilon, rng).holder_calls for _ in range(trials)],
+        dtype=np.int64))
 
 
 def estimate_tv(samples_a: Sequence, samples_b: Sequence) -> float:

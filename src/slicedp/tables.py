@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["IntTable", "read_int_table"]
 
 _INTEGER = r"\s*[+-]?[0-9]+\s*"  # re compiles it on first use, not at import
 

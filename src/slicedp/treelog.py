@@ -11,7 +11,7 @@ remaining points into the short label domain {1..L} and recurses.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -19,30 +19,6 @@ from .engine import (Dataset, OrderMap, RscSession, SliceComputation, as_element
                      delayed_compute, descending_map, select_and_compute)
 from .mechanisms import (PrivacyBudget, QualityFunction, choosing_mechanism,
                          exponential_mechanism, sample_laplace)
-
-__all__ = [
-    "Universe",
-    "TreeVertex",
-    "EmbeddedList",
-    "IppParams",
-    "RegimeError",
-    "log_star",
-    "trim_parameter",
-    "regime_threshold",
-    "f_ipp",
-    "subtree_weight",
-    "vertex_interval",
-    "leftmost_leaf",
-    "rightmost_leaf",
-    "left_right_leaf",
-    "embed",
-    "embed_order_map",
-    "gamma",
-    "gamma_sensitivity_check",
-    "one_heavy_round",
-    "treelog",
-    "ipp",
-]
 
 
 @dataclass(frozen=True)
@@ -122,7 +98,11 @@ def trim_parameter(epsilon: float, delta: float) -> int:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil((100.0 / epsilon) * math.log(1.0 / delta))
+    t = (100.0 / epsilon) * math.log(1.0 / delta)
+    if not math.isfinite(t):
+        raise ValueError(f"trim parameter (100/eps) ln(1/delta) overflows at "
+                         f"epsilon={epsilon}, delta={delta}")
+    return math.ceil(t)
 
 
 def regime_threshold(universe: Universe, epsilon: float, delta: float) -> int:
@@ -283,13 +263,14 @@ def one_heavy_round(data, universe: Universe, t: int, epsilon: float,
     return leaf
 
 
-def _slice_levels(universe: Universe) -> int:
+def slice_steps(universe: Universe) -> int:
+    """Slices the recursion may take: three per level above the base case."""
     levels = 0
     bits = universe.bit_length
     while (1 << bits) > 8:
         levels += 1
         bits = (bits - 1).bit_length()
-    return levels
+    return 3 * levels
 
 
 def _child_universe(universe: Universe) -> Universe:
@@ -375,25 +356,24 @@ def _recurse(universe: Universe, params: IppParams, rng, session: RscSession,
 
 
 def treelog(universe: Universe, data, params: IppParams, rng: np.random.Generator,
-            rsc_session_factory: Optional[Callable] = None, strict: bool = True) -> int:
+            noisy_sizes: bool = True, strict: bool = True) -> int:
     """One recursion pass of the interior-point search at a fixed per-step budget.
 
     Drives all slicing through a single reorder-slice-compute session; the
     border slices are consumed once each by a delayed computation, and the
-    recursion operates on the session's shrinking remainder.
+    recursion operates on the session's shrinking remainder. With
+    `noisy_sizes=False` every slice takes exactly its requested size.
     """
     elements = Dataset(data, universe.bit_length).elements
     if universe.size <= 8:
         return _base_case(elements, universe, params.epsilon, rng)
-    factory = rsc_session_factory or (
-        lambda d, tau, k: RscSession(d, tau, PrivacyBudget(params.epsilon, params.delta), k))
-    session = factory(elements, 3 * _slice_levels(universe), 1)
+    session = RscSession(elements, slice_steps(universe),
+                         PrivacyBudget(params.epsilon, params.delta), 1, noisy_sizes)
     return _recurse(universe, params, rng, session, strict)
 
 
 def ipp(universe: Universe, data, epsilon: float, delta: float,
-        rng: np.random.Generator, enforce_regime: bool = True,
-        rsc_session_factory: Optional[Callable] = None) -> int:
+        rng: np.random.Generator, enforce_regime: bool = True) -> int:
     """Private interior point: returns z with min(data) <= z <= max(data)
     except with probability O(delta * log*|X|), for datasets in the size regime.
 
@@ -409,5 +389,4 @@ def ipp(universe: Universe, data, epsilon: float, delta: float,
             f"got {elements.shape[0]}", required=required, provided=elements.shape[0])
     params = IppParams(epsilon=epsilon, delta=delta, t=t,
                        rho=sample_laplace(1.0 / epsilon, rng))
-    return treelog(universe, elements, params, rng,
-                   rsc_session_factory=rsc_session_factory, strict=enforce_regime)
+    return treelog(universe, elements, params, rng, strict=enforce_regime)

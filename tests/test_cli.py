@@ -77,6 +77,56 @@ class TestRecordShape:
         assert record["success"] is False
         assert "seed" in record["payload"]["error"]
 
+    def test_any_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
+        def broken(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "sweep_minimal_n", broken)
+        rc, record = run(tmp_path, "err.json", ["sweep", "--seed", "5", "--bits", "8"])
+        assert rc == 1
+        assert record["success"] is False
+        assert record["payload"] == {"error": "division by zero"}
+        assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+# the subcommands taking each common flag, and the argv each needs besides it
+COMMAND_ARGS = {
+    "ipp": ["--input", "{input}"],
+    "learn-threshold": ["--input", "{input}"],
+    "learn-rect": ["--input", "{input}"],
+    "qc-opt": ["--input", "{input}"],
+    "audit-sync": [],
+    "audit-sim": [],
+    "sweep": [],
+    "account": ["--tau", "2"],
+}
+VIOLATIONS = [
+    ("--seed", str(1 << 64), list(COMMAND_ARGS),
+     f"seed must be a 64-bit unsigned integer, got {1 << 64}"),
+    ("--epsilon", "-1", list(COMMAND_ARGS),
+     "epsilon must be finite and nonnegative, got -1.0"),
+    ("--delta", "1", list(COMMAND_ARGS), "delta must lie in [0, 1), got 1.0"),
+    ("--trials", "0", ["audit-sim", "sweep"], "trials must be at least 1, got 0"),
+    ("--bits", "65", ["ipp", "learn-threshold", "learn-rect"],
+     "bits must lie in [1, 64], got 65"),
+]
+
+
+@pytest.mark.parametrize("flag,value,command,message", [
+    (flag, value, command, message)
+    for flag, value, commands, message in VIOLATIONS for command in commands])
+def test_common_parameter_violation(tmp_path, flag, value, command, message):
+    data = tmp_path / "data.csv"
+    data.write_text("1,1\n")
+    argv = [command, *(a.format(input=data) for a in COMMAND_ARGS[command]),
+            "--seed", "1", flag, value]
+    rc, record = run(tmp_path, "err.json", argv)
+    seed = int(value) if flag == "--seed" else 1
+    assert rc == 1
+    assert record["command"] == command and record["success"] is False
+    assert record["parameters"] == {"seed": seed}
+    assert record["payload"] == {"error": message}
+
 
 class TestInteriorPointCommand:
     def test_solves_in_regime_instance(self, tmp_path):
@@ -102,6 +152,39 @@ class TestInteriorPointCommand:
         assert payload["required"] == 34550
         assert payload["provided"] == 100
         assert payload["violated_inequality"] == "n = 100 < 34550"
+
+    def test_accounting_counts_every_slice_of_the_session(self, tmp_path):
+        # at L = 16 the recursion has two sliced levels, so tau = 6
+        data = tmp_path / "data.txt"
+        data.write_text("77\n" * 27640)
+        rc, record = run(tmp_path, "ipp16.json",
+                         ["ipp", "--seed", "3", "--input", str(data), "--bits", "16"])
+        assert rc == 0
+        accounting = record["parameters"]["accounting"]
+        assert accounting["delta_total"] == pytest.approx(1e-3 + 2 * 6 * 1e-3, rel=1e-12)
+
+    def test_base_case_domain_reports_one_slice(self, tmp_path):
+        # at L <= 3 no session is opened; the accounting charges tau = 1
+        data = tmp_path / "data.txt"
+        data.write_text("5\n" * 6930)
+        rc, record = run(tmp_path, "ipp3.json",
+                         ["ipp", "--seed", "3", "--input", str(data), "--bits", "3",
+                          "--delta", "0.1"])
+        assert rc == 0
+        accounting = record["parameters"]["accounting"]
+        assert accounting["delta_total"] == pytest.approx(0.1 + 2 * 0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "1e-310"),
+                                            ("--delta", "5e-324")])
+    def test_overflowing_trim_parameter_is_a_failure_record(self, tmp_path, flag, value):
+        data = tmp_path / "data.txt"
+        data.write_text("1\n" * 10)
+        rc, record = run(tmp_path, "inf.json",
+                         ["ipp", "--seed", "1", "--input", str(data), "--bits", "16",
+                          flag, value])
+        assert rc == 1
+        assert record["success"] is False
+        assert "trim parameter" in record["payload"]["error"]
 
     def test_missing_input_file(self, tmp_path):
         rc, record = run(tmp_path, "missing.json",
@@ -169,6 +252,15 @@ class TestLearnerCommands:
                           "--bits", "16", "--dims", "3"])
         assert rc == 1
         assert "dims" in record["payload"]["error"]
+
+    def test_rect_dims_zero_is_not_the_file_width(self, tmp_path):
+        path = tmp_path / "rect.csv"
+        path.write_text("1,2,1\n3,4,0\n")
+        rc, record = run(tmp_path, "dims0.json",
+                         ["learn-rect", "--seed", "5", "--input", str(path),
+                          "--bits", "16", "--dims", "0"])
+        assert rc == 1
+        assert record["payload"]["error"] == "--dims 0 does not match file width 2"
 
     def test_rect_loads_coordinates_above_two_to_the_63(self, tmp_path):
         path = tmp_path / "rect.csv"
@@ -241,6 +333,12 @@ class TestAuditCommands:
         checks = record["payload"]["checks"]
         assert all(checks.values())
         assert record["payload"]["outcomes"]
+
+    def test_sync_cutoff_zero_is_checked(self, tmp_path):
+        rc, record = run(tmp_path, "cut0.json",
+                         ["audit-sync", "--seed", "5", "--cutoff", "0"])
+        assert rc == 1
+        assert record["payload"]["error"] == "cutoff must be at least gamma + 1 = 2, got 0"
 
     def test_sim_audit_counts_and_tv(self, tmp_path):
         rc, record = run(tmp_path, "sim.json",

@@ -57,6 +57,17 @@ class TestDataset:
                 with pytest.raises(ValueError, match="negative"):
                     Dataset(data, bits)
 
+    @pytest.mark.parametrize("data", [[1.5, 2.9], [3.0, 0.5], [float("inf")],
+                                      [float("nan")], np.array([2.0, -0.25])])
+    def test_non_integer_floats_are_rejected(self, data):
+        with pytest.raises(ValueError, match="whole number"):
+            Dataset(data, 8)
+
+    def test_whole_floats_load(self):
+        elements = Dataset([3.0, 4.0], 8).elements
+        assert elements.dtype == np.uint64
+        assert elements.tolist() == [3, 4]
+
 
 def _adjacent_lists(mapped_short, mapped_long):
     # mapped_long must equal mapped_short with one value inserted
@@ -236,6 +247,11 @@ class TestPrivacyCost:
         # 3 eps max(apps, cap) + 2 k eps
         cost = privacy_cost(1.0, 0.0, tau=3, k=1, delta_hat=1e-6, applications=1)
         assert cost.epsilon == pytest.approx(3 * 76 + 2)
+
+    def test_vacuous_delta_total_is_reported(self):
+        # a total at or above 1 guarantees nothing, but is still the total
+        cost = privacy_cost(1.0, 0.1, tau=6, k=1, delta_hat=0.1)
+        assert cost.delta == pytest.approx(0.1 + 2 * 6 * 0.1, rel=1e-12)
 
     def test_zero_epsilon(self):
         assert privacy_cost(0.0, 0.0, tau=5, k=2, delta_hat=0.5, applications=3).epsilon == 0.0

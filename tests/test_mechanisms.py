@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from slicedp import (
-    BOTTOM,
-    TOP,
     PrivacyBudget,
     QualityFunction,
-    SvtSession,
     choosing_error_bound,
     choosing_mechanism,
     exponential_mechanism,
     geometric_pmf,
     sample_geometric,
     sample_laplace,
-    svt_query,
 )
 
 from support import chi_squared_critical
@@ -190,52 +186,6 @@ class TestChoosingMechanism:
             for _ in range(200)
         )
         assert wins >= 198
-
-
-class TestSvt:
-    def test_far_above_threshold_tops(self):
-        rng = np.random.default_rng(10)
-        for _ in range(200):
-            session = SvtSession([], threshold=10.0, epsilon=1.0, rng=rng)
-            assert svt_query(session, lambda s: 10.0 + 1000.0) == TOP
-
-    def test_far_below_threshold_bottoms(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            session = SvtSession([], threshold=10.0, epsilon=1.0, rng=rng)
-            assert svt_query(session, lambda s: 10.0 - 1000.0) == BOTTOM
-
-    def test_halts_after_top(self):
-        session = SvtSession([], threshold=0.0, epsilon=1.0, rng=np.random.default_rng(12))
-        assert svt_query(session, lambda s: 1000.0) == TOP
-        with pytest.raises(RuntimeError):
-            svt_query(session, lambda s: 1000.0)
-
-    def test_no_false_bottom_above_slack(self):
-        # queries exceeding c + (8/eps) ln(2m/beta) never come back BOTTOM
-        eps, m, beta = 1.0, 10, 0.05
-        slack = (8.0 / eps) * math.log(2 * m / beta)
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            session = SvtSession([], threshold=5.0, epsilon=eps, rng=rng)
-            for _ in range(m):
-                if svt_query(session, lambda s: 5.0 + slack + 1e-9) == TOP:
-                    break
-            else:
-                pytest.fail("ten answers above the slack line all came back BOTTOM")
-
-    def test_deterministic_transcript(self):
-        def run(seed):
-            rng = np.random.default_rng(seed)
-            session = SvtSession([], threshold=3.0, epsilon=0.7, rng=rng)
-            out = []
-            for v in (1.0, 2.0, 2.5, 3.5, 9.0):
-                out.append(svt_query(session, lambda s, v=v: v))
-                if out[-1] == TOP:
-                    break
-            return out
-
-        assert run(21) == run(21)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slicedp import (
+    AuditResult,
     DataHolder,
     OrderMap,
     SliceComputation,
@@ -13,7 +14,6 @@ from slicedp import (
     descending_map,
     direct_run,
     estimate_tv,
-    holder_query,
     sample_geometric,
     simulate,
     sync_gamma,
@@ -135,22 +135,22 @@ class TestHolderQuery:
         rng = np.random.default_rng(5)
         data = list(range(1, 40))
         for _ in range(200):
-            q_hat, beta, result = holder_query(0, data, 0, q=3, algorithm=_len_algorithm,
-                                               order_map=ascending_map(), epsilon=0.5, rng=rng)
+            q_hat, beta, result = DataHolder(0, 0.5, rng).query(
+                data, 0, q=3, algorithm=_len_algorithm, order_map=ascending_map())
             assert result == q_hat
 
     def test_b1_size_is_q_hat_plus_beta(self):
         rng = np.random.default_rng(6)
         data = list(range(1, 40))
         for _ in range(200):
-            q_hat, beta, result = holder_query(1, data, 0, q=3, algorithm=_len_algorithm,
-                                               order_map=ascending_map(), epsilon=0.5, rng=rng)
+            q_hat, beta, result = DataHolder(1, 0.5, rng).query(
+                data, 0, q=3, algorithm=_len_algorithm, order_map=ascending_map())
             assert result == q_hat + beta
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
-            holder_query(0, [1], 0, q=-1, algorithm=None, order_map=ascending_map(),
-                         epsilon=0.5, rng=np.random.default_rng(0))
+            DataHolder(0, 0.5, np.random.default_rng(0)).query(
+                [1], 0, q=-1, algorithm=None, order_map=ascending_map())
 
 
 def _script(tau=2, m=2):
@@ -258,6 +258,14 @@ class TestCallCountAudit:
             bound = (5.0 / 6.0) ** w
             se = math.sqrt(bound * (1 - bound) / trials)
             assert prob <= bound + 3 * se, (w, prob, bound)
+
+    def test_summary_of_counts(self):
+        audit = AuditResult.from_counts(np.array([2, 0, 2, 5], dtype=np.int64))
+        assert audit.histogram == {0: 1, 2: 2, 5: 1}
+        assert list(audit.histogram) == [0, 2, 5]
+        assert audit.tail[:5] == [(1, 0.75), (2, 0.25), (3, 0.25), (4, 0.25), (5, 0.0)]
+        assert len(audit.tail) == 20
+        assert audit.mean == 2.25 and audit.trials == 4
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

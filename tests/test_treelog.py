@@ -1,3 +1,4 @@
+import importlib
 import math
 from collections import Counter
 
@@ -24,6 +25,7 @@ from slicedp import (
     one_heavy_round,
     regime_threshold,
     rightmost_leaf,
+    slice_steps,
     subtree_weight,
     treelog,
     trim_parameter,
@@ -49,6 +51,23 @@ class TestParameters:
             trim_parameter(0.0, 0.5)
         with pytest.raises(ValueError):
             trim_parameter(0.5, 1.0)
+        for epsilon, delta in ((1e-310, 1e-3), (1.0, 5e-324)):
+            with pytest.raises(ValueError, match="overflows"):
+                trim_parameter(epsilon, delta)
+
+    def test_slice_steps_is_the_session_length(self, monkeypatch):
+        assert [slice_steps(Universe(b)) for b in (3, 4, 8, 16, 64)] == [0, 3, 3, 6, 6]
+        module = importlib.import_module("slicedp.treelog")
+        original, taus = module.RscSession, []
+
+        def spy(data, tau, *rest):
+            taus.append(tau)
+            return original(data, tau, *rest)
+
+        monkeypatch.setattr(module, "RscSession", spy)
+        ipp(Universe(16), [7] * 1000, 1.0, 0.5, np.random.default_rng(1),
+            enforce_regime=False)
+        assert taus == [slice_steps(Universe(16))]
 
     def test_regime_threshold(self):
         assert regime_threshold(Universe(32), 1.0, 1e-3) == 34550
