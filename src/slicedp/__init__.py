@@ -21,18 +21,18 @@ from .quasiconcave import (QcInstance, QcResult, build_increment_dataset,
 from .sync import (AuditResult, DataHolder, SimTranscript, SyncDist, SyncOutcome,
                    audit_call_count, direct_run, estimate_tv, simulate,
                    sync_gamma, sync_map, sync_map_exact_dist, sync_threshold)
-from .treelog import (EmbeddedList, IppParams, RegimeError, TreeVertex, Universe,
-                      embed, embed_order_map, f_ipp, gamma,
-                      gamma_sensitivity_check, ipp, left_right_leaf,
-                      leftmost_leaf, log_star, one_heavy_round,
-                      regime_threshold, rightmost_leaf, slice_steps,
-                      subtree_weight, treelog, trim_parameter, vertex_interval)
+from .treelog import (EmbeddedList, RegimeError, TreeVertex, Universe, embed,
+                      embed_order_map, f_ipp, gamma, gamma_sensitivity_check,
+                      ipp, left_right_leaf, leftmost_leaf, log_star,
+                      one_heavy_round, regime_threshold, rightmost_leaf,
+                      slice_steps, subtree_weight, trim_parameter,
+                      vertex_interval)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "OrderMap", "RscSession", "SliceComputation", "PrivacyBudget",
-    "QualityFunction", "Universe", "TreeVertex", "EmbeddedList", "IppParams",
+    "QualityFunction", "Universe", "TreeVertex", "EmbeddedList",
     "RegimeError", "QcInstance", "QcResult", "LabeledSample", "Hypothesis",
     "SyncOutcome", "SyncDist", "SimTranscript", "AuditResult", "DataHolder",
     "sample_geometric", "sample_laplace", "geometric_pmf", "exponential_mechanism",
@@ -43,7 +43,7 @@ __all__ = [
     "estimate_tv", "log_star", "trim_parameter", "regime_threshold", "slice_steps",
     "f_ipp", "subtree_weight", "vertex_interval", "leftmost_leaf", "rightmost_leaf",
     "left_right_leaf", "embed", "embed_order_map", "gamma",
-    "gamma_sensitivity_check", "one_heavy_round", "treelog", "ipp",
+    "gamma_sensitivity_check", "one_heavy_round", "ipp",
     "cumulative_distance", "is_quasi_concave", "build_increment_dataset",
     "scaled_budget", "cumulative_regime_threshold", "cumulative_ipp", "qc_optimize",
     "chain_size", "sample_code", "encode_hard_instance", "decode_hard_point",

@@ -107,6 +107,9 @@ def _cmd_ipp(args: argparse.Namespace):
         "accounting": {"epsilon_total": cost.epsilon, "delta_total": cost.delta,
                        "holder_call_cap": holder_call_cap(args.delta)},
     }
+    if cost.delta >= 1:
+        print(f"warning: delta_total = {cost.delta} >= 1, so this run carries no "
+              f"privacy guarantee", file=sys.stderr)
     rng = _trial_rng(args.seed, 0)
     value = ipp(universe, data, args.epsilon, args.delta, rng)
     lo, hi = int(data.elements.min()), int(data.elements.max())
@@ -220,6 +223,10 @@ def _audit_instance(size: int):
 
 
 def _cmd_audit_sim(args: argparse.Namespace):
+    if args.tau < 1:
+        raise ValueError(f"tau must be at least 1, got {args.tau}")
+    if args.size < 0:
+        raise ValueError(f"size must be nonnegative, got {args.size}")
     epsilon = args.epsilon
     data, x, algorithm = _audit_instance(args.size)
     script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(args.tau)]
@@ -441,7 +448,12 @@ def main(argv=None) -> int:
             payload["required"] = exc.required
             payload["provided"] = exc.provided
             payload["violated_inequality"] = f"n = {exc.provided} < {exc.required}"
-    _emit(_record(args, parameters, payload, success, started), args.output)
+    try:
+        _emit(_record(args, parameters, payload, success, started), args.output)
+    except OSError as exc:
+        payload = {"error": f"cannot write the record to {args.output}: {exc.strerror or exc}"}
+        _emit(_record(args, {"seed": args.seed}, payload, False, started), None)
+        return 1
     return 0 if success else 1
 
 

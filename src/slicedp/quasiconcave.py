@@ -17,8 +17,7 @@ import numpy as np
 from .engine import Dataset
 from .mechanisms import sample_laplace
 from .tables import read_int_table
-from .treelog import (IppParams, RegimeError, Universe, log_star, treelog,
-                      trim_parameter)
+from .treelog import Universe, ipp, log_star, regime_threshold
 
 
 def _as_sorted_list(data) -> list:
@@ -93,8 +92,7 @@ def scaled_budget(universe: Universe, epsilon: float, delta: float,
 def cumulative_regime_threshold(universe: Universe, epsilon: float, delta: float,
                                 constant_c: int = 4) -> int:
     """Minimum dataset size for the cumulatively private interior point."""
-    eps_p, delta_p = scaled_budget(universe, epsilon, delta, constant_c)
-    return 10 * trim_parameter(eps_p, delta_p) * log_star(universe.size)
+    return regime_threshold(universe, *scaled_budget(universe, epsilon, delta, constant_c))
 
 
 def cumulative_ipp(universe: Universe, data, epsilon: float, delta: float,
@@ -102,21 +100,11 @@ def cumulative_ipp(universe: Universe, data, epsilon: float, delta: float,
     """Interior point whose guarantee degrades gracefully with the cumulative
     distance of the inputs, not just insertion adjacency.
 
-    Same recursion as the adjacency-based solver, but slice sizes carry no
-    geometric noise and each internal step runs at the scaled-down budget.
+    The adjacency-based solver at the scaled-down per-step budget, with
+    slice sizes that carry no geometric noise.
     """
     eps_p, delta_p = scaled_budget(universe, epsilon, delta, constant_c)
-    t_p = trim_parameter(eps_p, delta_p)
-    elements = Dataset(data, universe.bit_length).elements
-    required = cumulative_regime_threshold(universe, epsilon, delta, constant_c)
-    if elements.shape[0] < required:
-        raise RegimeError(
-            f"cumulative interior point needs at least {required} points at "
-            f"epsilon={epsilon}, delta={delta}, C={constant_c}, got {elements.shape[0]}",
-            required=required, provided=elements.shape[0])
-    params = IppParams(epsilon=eps_p, delta=delta_p, t=t_p,
-                       rho=sample_laplace(1.0 / eps_p, rng))
-    return treelog(universe, elements, params, rng, noisy_sizes=False)
+    return ipp(universe, data, eps_p, delta_p, rng, noisy_sizes=False)
 
 
 QC_DOMAIN_CAP = 1 << 26

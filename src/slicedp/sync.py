@@ -15,7 +15,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import OrderMap, RscSession, SliceComputation, as_elements, select_and_compute
+from .engine import (OrderMap, RscSession, SliceComputation, as_elements,
+                     delayed_compute, select_and_compute)
 from .mechanisms import PrivacyBudget, sample_geometric
 
 
@@ -262,7 +263,7 @@ def direct_run(data, script: Sequence[SliceComputation], epsilon: float,
         result, _ = select_and_compute(session, spec, rng)
         published.append(result)
     for step, algorithm in delayed or []:
-        published.append(algorithm(session.stored_slices[step]))
+        published.append(delayed_compute(session, step, algorithm))
     return published
 
 

@@ -60,16 +60,6 @@ class EmbeddedList:
     path: List[TreeVertex]
 
 
-@dataclass(frozen=True)
-class IppParams:
-    """Per-step budget plus the trimming parameter and the shared gate noise."""
-
-    epsilon: float
-    delta: float
-    t: int
-    rho: float
-
-
 class RegimeError(ValueError):
     """Dataset too small for the accuracy regime; raised instead of silently
     returning a point with no utility guarantee."""
@@ -263,25 +253,25 @@ def one_heavy_round(data, universe: Universe, t: int, epsilon: float,
     return leaf
 
 
-def slice_steps(universe: Universe) -> int:
-    """Slices the recursion may take: three per level above the base case."""
-    levels = 0
-    bits = universe.bit_length
-    while (1 << bits) > 8:
-        levels += 1
-        bits = (bits - 1).bit_length()
-    return 3 * levels
-
-
 def _child_universe(universe: Universe) -> Universe:
     return Universe((universe.bit_length - 1).bit_length())
 
 
+def slice_steps(universe: Universe) -> int:
+    """Slices the recursion may take: three per level above the base case."""
+    levels = 0
+    while universe.size > 8:
+        levels += 1
+        universe = _child_universe(universe)
+    return 3 * levels
+
+
+_IPP_QUALITY = QualityFunction(evaluate=f_ipp)
+
+
 def _base_case(data, universe: Universe, epsilon: float, rng) -> int:
-    quality = QualityFunction(evaluate=lambda d, z: f_ipp(d, z))
-    choice = exponential_mechanism(list(range(universe.size)), quality,
-                                   as_elements(data), epsilon, rng)
-    return int(choice)
+    return int(exponential_mechanism(list(range(universe.size)), _IPP_QUALITY,
+                                     as_elements(data), epsilon, rng))
 
 
 def _ascending_projected_map() -> OrderMap:
@@ -311,73 +301,18 @@ def _candidate_leaves(v: TreeVertex, universe: Universe) -> List[int]:
                    left_right_leaf(v, universe)})
 
 
-def _recurse(universe: Universe, params: IppParams, rng, session: RscSession,
-             strict: bool) -> int:
-    if universe.size <= 8:
-        return _base_case(_project_labels(session.remaining), universe,
-                          params.epsilon, rng)
-
-    t = params.t
-    if strict and len(session.remaining) < 4 * t + 1:
-        raise RegimeError(
-            f"level needs more than {4 * t} points to populate its slices, "
-            f"got {len(session.remaining)}", required=4 * t + 1,
-            provided=len(session.remaining))
-
-    low_step = session.step
-    select_and_compute(session, SliceComputation(t, None, _ascending_projected_map()), rng)
-    high_step = session.step
-    select_and_compute(session, SliceComputation(t, None, descending_map()), rng)
-
-    gate = gamma(session.remaining, universe) + sample_laplace(1.0 / params.epsilon, rng)
-    if gate >= 3.0 * t / 4.0 + params.rho and len(session.remaining) > 0:
-        return int(one_heavy_round(session.remaining, universe, t,
-                                   params.epsilon, rng))
-
-    embed_step = session.step
-    select_and_compute(session, SliceComputation(2 * t, None, embed_order_map(universe)), rng)
-    embedded_slice = session.stored_slices[embed_step]
-    slice_elements = embedded_slice[:, 1] if embedded_slice.size else \
-        np.empty(0, dtype=np.uint64)
-
-    child_choice = _recurse(_child_universe(universe), params, rng, session, strict)
-    depth = min(child_choice + 1, universe.bit_length)
-
-    vertex = choosing_mechanism(_depth_vertex_quality(universe, depth, slice_elements),
-                                slice_elements, params.epsilon, params.delta,
-                                params.delta, rng, fallback=TreeVertex(depth, 0))
-    candidates = _candidate_leaves(vertex, universe)
-
-    border = np.concatenate([delayed_compute(session, low_step, lambda s: s),
-                             delayed_compute(session, high_step, lambda s: s)])
-    quality = QualityFunction(evaluate=lambda d, z: f_ipp(d, z))
-    return int(exponential_mechanism(candidates, quality, border,
-                                     params.epsilon, rng))
-
-
-def treelog(universe: Universe, data, params: IppParams, rng: np.random.Generator,
-            noisy_sizes: bool = True, strict: bool = True) -> int:
-    """One recursion pass of the interior-point search at a fixed per-step budget.
-
-    Drives all slicing through a single reorder-slice-compute session; the
-    border slices are consumed once each by a delayed computation, and the
-    recursion operates on the session's shrinking remainder. With
-    `noisy_sizes=False` every slice takes exactly its requested size.
-    """
-    elements = Dataset(data, universe.bit_length).elements
-    if universe.size <= 8:
-        return _base_case(elements, universe, params.epsilon, rng)
-    session = RscSession(elements, slice_steps(universe),
-                         PrivacyBudget(params.epsilon, params.delta), 1, noisy_sizes)
-    return _recurse(universe, params, rng, session, strict)
-
-
 def ipp(universe: Universe, data, epsilon: float, delta: float,
-        rng: np.random.Generator, enforce_regime: bool = True) -> int:
+        rng: np.random.Generator, enforce_regime: bool = True,
+        noisy_sizes: bool = True) -> int:
     """Private interior point: returns z with min(data) <= z <= max(data)
     except with probability O(delta * log*|X|), for datasets in the size regime.
 
-    Draws the shared gate noise once, then runs the level recursion.
+    Draws the shared gate noise once, then runs the level recursion at the
+    per-step budget (epsilon, delta). All slicing goes through a single
+    reorder-slice-compute session, a stored slice is read only by one
+    delayed computation, and each level recurses on the session's shrinking
+    remainder. With `noisy_sizes=False` every slice takes exactly its
+    requested size; `enforce_regime=False` skips the size checks.
     """
     elements = Dataset(data, universe.bit_length).elements
     t = trim_parameter(epsilon, delta)
@@ -387,6 +322,43 @@ def ipp(universe: Universe, data, epsilon: float, delta: float,
             f"interior point at epsilon={epsilon}, delta={delta} on a "
             f"{universe.bit_length}-bit domain needs at least {required} points, "
             f"got {elements.shape[0]}", required=required, provided=elements.shape[0])
-    params = IppParams(epsilon=epsilon, delta=delta, t=t,
-                       rho=sample_laplace(1.0 / epsilon, rng))
-    return treelog(universe, elements, params, rng, strict=enforce_regime)
+    rho = sample_laplace(1.0 / epsilon, rng)
+    if universe.size <= 8:
+        return _base_case(elements, universe, epsilon, rng)
+    session = RscSession(elements, slice_steps(universe),
+                         PrivacyBudget(epsilon, delta), 1, noisy_sizes)
+
+    def recurse(level: Universe) -> int:
+        if level.size <= 8:
+            return _base_case(_project_labels(session.remaining), level, epsilon, rng)
+        if enforce_regime and len(session.remaining) < 4 * t + 1:
+            raise RegimeError(
+                f"level needs more than {4 * t} points to populate its slices, "
+                f"got {len(session.remaining)}", required=4 * t + 1,
+                provided=len(session.remaining))
+
+        low_step = session.step
+        select_and_compute(session, SliceComputation(t, None, _ascending_projected_map()), rng)
+        high_step = session.step
+        select_and_compute(session, SliceComputation(t, None, descending_map()), rng)
+
+        gate = gamma(session.remaining, level) + sample_laplace(1.0 / epsilon, rng)
+        if gate >= 3.0 * t / 4.0 + rho and len(session.remaining) > 0:
+            return int(one_heavy_round(session.remaining, level, t, epsilon, rng))
+
+        embed_step = session.step
+        select_and_compute(session, SliceComputation(2 * t, None, embed_order_map(level)), rng)
+        depth = min(recurse(_child_universe(level)) + 1, level.bit_length)
+
+        def choose(embedded: np.ndarray) -> TreeVertex:
+            slice_elements = embedded[:, 1]
+            return choosing_mechanism(_depth_vertex_quality(level, depth, slice_elements),
+                                      slice_elements, epsilon, delta, delta, rng,
+                                      fallback=TreeVertex(depth, 0))
+
+        candidates = _candidate_leaves(delayed_compute(session, embed_step, choose), level)
+        border = np.concatenate([delayed_compute(session, low_step, lambda s: s),
+                                 delayed_compute(session, high_step, lambda s: s)])
+        return int(exponential_mechanism(candidates, _IPP_QUALITY, border, epsilon, rng))
+
+    return recurse(universe)

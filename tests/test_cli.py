@@ -77,6 +77,20 @@ class TestRecordShape:
         assert record["success"] is False
         assert "seed" in record["payload"]["error"]
 
+    @pytest.mark.parametrize("argv", [["account", "--tau", "2"],
+                                      ["sweep", "--bits", "8"]])
+    def test_unwritable_output_is_a_failure_record(self, tmp_path, monkeypatch,
+                                                   capsys, argv):
+        monkeypatch.setattr(cli, "sweep_minimal_n", lambda bits, *rest: bits)
+        target = tmp_path / "missing" / "out.json"
+        rc = main([*argv, "--seed", "1", "--output", str(target)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["command"] == argv[0] and record["success"] is False
+        assert record["parameters"] == {"seed": 1}
+        assert record["payload"] == {
+            "error": f"cannot write the record to {target}: No such file or directory"}
+
     def test_any_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
         def broken(*args):
             raise ZeroDivisionError("division by zero")
@@ -162,6 +176,19 @@ class TestInteriorPointCommand:
         assert rc == 0
         accounting = record["parameters"]["accounting"]
         assert accounting["delta_total"] == pytest.approx(1e-3 + 2 * 6 * 1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("bits,warned", [(16, True), (8, False)])
+    def test_vacuous_delta_total_is_warned_about(self, tmp_path, capsys, bits, warned):
+        # 9,240 points is the regime size at delta 0.1 for both lengths; the
+        # 6 slices at L = 16 put delta_total at 0.1 + 2 * 6 * 0.1 = 1.3
+        path = tmp_path / "data.txt"
+        values = np.random.default_rng(7).integers(0, 1 << bits, size=9240)
+        path.write_text("".join(f"{v}\n" for v in values))
+        rc, record = run(tmp_path, "ipp.json", ["ipp", "--seed", "4", "--input", str(path),
+                                                "--bits", str(bits), "--delta", "0.1"])
+        assert rc == 0
+        assert (record["parameters"]["accounting"]["delta_total"] >= 1) is warned
+        assert ("no privacy guarantee" in capsys.readouterr().err) is warned
 
     def test_base_case_domain_reports_one_slice(self, tmp_path):
         # at L <= 3 no session is opened; the accounting charges tau = 1
@@ -350,6 +377,22 @@ class TestAuditCommands:
         assert payload["mean_calls"] <= 6.0
         assert payload["tv_estimate"] <= 0.25
         assert len(payload["tail"]) == 15
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tau", "-1", "tau must be at least 1, got -1"),
+        ("--size", "-3", "size must be nonnegative, got -3"),
+    ])
+    def test_sim_audit_checks_its_own_flags(self, tmp_path, flag, value, message):
+        rc, record = run(tmp_path, "sim.json", ["audit-sim", "--seed", "5",
+                                                "--trials", "3", flag, value])
+        assert rc == 1
+        assert record["payload"] == {"error": message}
+
+    def test_sim_audit_accepts_an_empty_instance(self, tmp_path):
+        rc, record = run(tmp_path, "sim.json", ["audit-sim", "--seed", "5",
+                                                "--trials", "3", "--size", "0"])
+        assert rc == 0
+        assert record["parameters"]["size"] == 0
 
 
 class TestSweepCommand:

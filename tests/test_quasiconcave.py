@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicedp import (
+    PrivacyBudget,
     QcInstance,
     RegimeError,
     Universe,
@@ -19,6 +21,7 @@ from slicedp import (
     encode_hard_instance,
     gamma,
     hardness_reduction,
+    ipp,
     is_quasi_concave,
     load_qc_csv,
     qc_optimize,
@@ -168,6 +171,23 @@ class TestCumulativeInteriorPoint:
         hits = sum(cumulative_ipp(u, [11] * n, epsilon, delta, rng, c) == 11
                    for _ in range(10))
         assert hits >= 9
+
+    def test_session_sizes_are_exact_and_the_budget_scaled(self, monkeypatch):
+        module = importlib.import_module("slicedp.treelog")
+        original, sessions = module.RscSession, []
+
+        def spy(*args, **kwargs):
+            sessions.append(original(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(module, "RscSession", spy)
+        u = Universe(4)
+        epsilon, delta, c = 8.0, 0.5, 1
+        n = cumulative_regime_threshold(u, epsilon, delta, c)
+        cumulative_ipp(u, [11] * n, epsilon, delta, np.random.default_rng(1), c)
+        ipp(u, [11] * 1000, 1.0, 0.5, np.random.default_rng(1), enforce_regime=False)
+        assert [s.noisy_sizes for s in sessions] == [False, True]
+        assert sessions[0].budget == PrivacyBudget(*scaled_budget(u, epsilon, delta, c))
 
     def test_regime_error(self):
         u = Universe(16)

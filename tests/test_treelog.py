@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicedp import (
-    IppParams,
     RegimeError,
     TreeVertex,
     Universe,
@@ -27,7 +26,6 @@ from slicedp import (
     rightmost_leaf,
     slice_steps,
     subtree_weight,
-    treelog,
     trim_parameter,
     vertex_interval,
 )
@@ -362,8 +360,29 @@ class TestInteriorPoint:
         assert err.value.required == 34550
         assert err.value.provided == 100
 
-    def test_strict_level_shortfall_is_structured(self):
-        u = Universe(16)
-        params = IppParams(epsilon=1.0, delta=0.5, t=70, rho=0.0)
-        with pytest.raises(RegimeError):
-            treelog(u, list(range(40)), params, np.random.default_rng(1))
+    def test_strict_level_shortfall_is_structured(self, monkeypatch):
+        # with the whole-run check out of the way, the per-level check fires:
+        # t = 70 at (1, 0.5), and a level needs 4t + 1 points
+        monkeypatch.setattr(importlib.import_module("slicedp.treelog"),
+                            "regime_threshold", lambda *args: 0)
+        with pytest.raises(RegimeError) as err:
+            ipp(Universe(16), list(range(40)), 1.0, 0.5, np.random.default_rng(1))
+        assert err.value.required == 281
+        assert err.value.provided == 40
+
+    def test_every_stored_slice_is_read_once_through_delayed_compute(self, monkeypatch):
+        module = importlib.import_module("slicedp.treelog")
+        original, reads, sessions = module.delayed_compute, Counter(), []
+
+        def spy(session, step, algorithm):
+            reads[step] += 1
+            sessions.append(session)
+            return original(session, step, algorithm)
+
+        monkeypatch.setattr(module, "delayed_compute", spy)
+        # all-equal data has gamma 0, so both levels fail the gate and embed
+        ipp(Universe(16), [7] * 1000, 1.0, 0.5, np.random.default_rng(1),
+            enforce_regime=False)
+        session = sessions[0]
+        assert session.step == slice_steps(Universe(16)) == 6
+        assert reads == {step: 1 for step in range(session.step)}
