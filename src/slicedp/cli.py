@@ -128,7 +128,8 @@ def _cmd_learn_threshold(args: argparse.Namespace):
         "epsilon": args.epsilon, "delta": args.delta, "bits": args.bits,
         "seed": args.seed, "xi": xi, "beta": beta, "n": len(sample),
         "required_n": required,
-        "regime_inequality": f"n = {len(sample)} >= {required}",
+        "regime_inequality":
+            f"n = {len(sample)} {'<' if len(sample) < required else '>='} {required}",
     }
     rng = _trial_rng(args.seed, 0)
     hypothesis = learn_threshold_realizable(sample, xi, beta, args.epsilon,

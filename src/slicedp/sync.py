@@ -15,8 +15,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import (OrderMap, RscSession, SliceComputation, as_elements,
-                     delayed_compute, select_and_compute)
+from .engine import (Dataset, OrderMap, RscSession, SliceComputation, delayed_compute,
+                     select_and_compute)
 from .mechanisms import PrivacyBudget, sample_geometric
 
 
@@ -119,25 +119,15 @@ class SimTranscript:
     final_diff: Optional[int]
 
 
-def _apply_map(order_map: OrderMap, elements: Sequence[int]) -> List[int]:
-    if len(elements) == 0:
-        return []
-    arr = np.asarray(elements, dtype=np.uint64)
-    return [int(v) for v in order_map.apply(arr)]
-
-
-def _diff_and_rank(short: List[int], long: List[int]) -> Tuple[int, int]:
-    # first position where the mapped lists disagree; the inserted element
+def _diff_and_rank(short: np.ndarray, long: np.ndarray) -> Tuple[int, int]:
+    # first position where the mapped arrays disagree; the inserted element
     # sits there and all later positions shift by one
     if len(long) != len(short) + 1:
         raise ValueError("order map is not adjacency preserving: output sizes differ by "
                          f"{len(long) - len(short)}")
-    p0 = len(short)
-    for j in range(len(short)):
-        if short[j] != long[j]:
-            p0 = j
-            break
-    if short[p0:] != long[p0 + 1:]:
+    mismatch = np.flatnonzero(short != long[:-1])
+    p0 = int(mismatch[0]) if mismatch.size else len(short)
+    if not np.array_equal(short[p0:], long[p0 + 1:]):
         raise ValueError("order map is not adjacency preserving: suffixes disagree")
     return long[p0], p0 + 1
 
@@ -164,17 +154,16 @@ class DataHolder:
         if q < 0:
             raise ValueError(f"q must be nonnegative, got {q}")
         delta = sample_geometric(self.epsilon, self._rng)
-        m_hat = q + delta
-        base = list(data) + ([x] if self.b == 1 else [])
-        ordered = _apply_map(order_map, base)
-        slice_part = ordered[:m_hat]
-        self.stored[step] = slice_part
-        result = algorithm(np.asarray(slice_part, dtype=np.uint64)) if algorithm else None
+        base = np.asarray(data, dtype=np.uint64)
+        if self.b == 1:
+            base = np.append(base, np.uint64(x))
+        slice_part = self.stored[step] = order_map.apply(base)[:q + delta]
+        result = algorithm(slice_part) if algorithm else None
         alpha, beta = sync_map(self.b, delta, self.epsilon, self._rng)
         return q + alpha, beta, result
 
     def delayed(self, step: int, algorithm: Callable):
-        return algorithm(np.asarray(self.stored[step], dtype=np.uint64))
+        return algorithm(self.stored[step])
 
 
 def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
@@ -187,77 +176,66 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     results are distributed exactly as a direct run on the b-selected
     dataset. Optional second-phase requests (step index, algorithm) route to
     the simulator's stored slice or to the holder per where the true slice
-    lives.
+    lives; as in a direct run, each slice takes at most one.
     """
     _check_epsilon(epsilon)
+    if not 0 <= x < 1 << 64 or x != int(x):
+        raise ValueError(f"diff element x must be an integer in [0, 2^64), got {x}")
     holder = DataHolder(b, epsilon, rng)
-    current = [int(v) for v in as_elements(data)]
-    x_cur = int(x)
+    current = Dataset(data, 64).elements
+    x_cur = np.uint64(x)
     status = 0
     published = []
     holder_steps = []
     sim_slices = {}
 
     for i, spec in enumerate(script):
-        mapped = _apply_map(spec.map, current)
+        mapped = spec.map.apply(current)
         if status == 0:
-            mapped_with = _apply_map(spec.map, current + [x_cur])
-            if mapped == mapped_with:
+            mapped_with = spec.map.apply(np.append(current, x_cur))
+            if np.array_equal(mapped, mapped_with):
                 status = 1  # map eliminated the diff element
-        if status == 1:
-            m_hat = spec.m + sample_geometric(epsilon, rng)
-            slice_part = mapped[:m_hat]
-            current = mapped[m_hat:]
-            sim_slices[i] = slice_part
-            result = spec.algorithm(np.asarray(slice_part, dtype=np.uint64)) \
-                if spec.algorithm else None
-        else:
-            m_hat = spec.m + sample_geometric(epsilon, rng)
+        m_hat = spec.m + sample_geometric(epsilon, rng)
+        if status == 0:
             x_prime, p = _diff_and_rank(mapped, mapped_with)
-            if m_hat < p:
-                # this round does not involve the diff element
-                slice_part = mapped[:m_hat]
-                current = mapped[m_hat:]
+        if status == 1 or m_hat < p:
+            # this round does not involve the diff element
+            slice_part = sim_slices[i] = mapped[:m_hat]
+            current = mapped[m_hat:]
+            if status == 0:
                 x_cur = x_prime
-                sim_slices[i] = slice_part
-                result = spec.algorithm(np.asarray(slice_part, dtype=np.uint64)) \
-                    if spec.algorithm else None
+            result = spec.algorithm(slice_part) if spec.algorithm else None
+        else:
+            q_hat, beta, result = holder.query(current, x_cur, max(p, spec.m),
+                                               spec.algorithm, spec.map, step=i)
+            holder_steps.append(i)
+            current = mapped[q_hat:]
+            if beta == 1 or q_hat > len(mapped):
+                # synchronized, or both executions exhausted with equal remainders
+                status = 1
             else:
-                q = max(p, spec.m)
-                q_hat, new_status, result = holder.query(current, x_cur, q,
-                                                         spec.algorithm, spec.map, step=i)
-                holder_steps.append(i)
-                if new_status == 0:
-                    if q_hat > len(mapped):
-                        # both executions exhausted; remainders are equal
-                        current = []
-                        status = 1
-                    else:
-                        y = mapped[q_hat - 1]
-                        current = mapped[q_hat:]
-                        x_cur = y
-                else:
-                    current = mapped[q_hat:]
-                    status = 1
+                x_cur = mapped[q_hat - 1]
         published.append(result)
 
+    received = set()
     for step, algorithm in delayed or []:
-        if step in holder.stored:
-            published.append(holder.delayed(step, algorithm))
-        else:
-            published.append(algorithm(np.asarray(sim_slices[step], dtype=np.uint64)))
+        if step in received:
+            raise RuntimeError(f"slice {step} already received 1 delayed compute(s)")
+        received.add(step)
+        published.append(holder.delayed(step, algorithm) if step in holder.stored
+                         else algorithm(sim_slices[step]))
 
     return SimTranscript(published=published, holder_calls=len(holder_steps),
                          holder_steps=holder_steps, final_status=status,
-                         final_diff=None if status == 1 else x_cur)
+                         final_diff=None if status == 1 else int(x_cur))
 
 
 def direct_run(data, script: Sequence[SliceComputation], epsilon: float,
                rng: np.random.Generator,
                delayed: Optional[Sequence[Tuple[int, Callable]]] = None) -> list:
     """Published outputs of a plain (non-simulated) slicing session."""
-    session = RscSession(np.asarray(list(as_elements(data)), dtype=np.uint64),
-                         tau=len(script), budget=PrivacyBudget(epsilon), k=1)
+    session = RscSession(Dataset(data, 64), tau=len(script),
+                         budget=PrivacyBudget(epsilon), k=1)
     published = []
     for spec in script:
         result, _ = select_and_compute(session, spec, rng)

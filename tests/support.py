@@ -13,8 +13,11 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
-from slicedp import (Dataset, LabeledSample, QcInstance, TreeVertex, Universe,
-                     left_right_leaf, sample_laplace, subtree_weight, vertex_interval)
+from slicedp import (Dataset, LabeledSample, QcInstance, SimTranscript, TreeVertex,
+                     Universe, left_right_leaf, sample_geometric, sample_laplace,
+                     subtree_weight, sync_map, vertex_interval)
+from slicedp.engine import as_elements
+from slicedp.sync import _check_epsilon
 
 
 def chi_squared_two_sample(counts_a, counts_b, min_expected=5.0):
@@ -348,3 +351,121 @@ def load_qc_csv_oracle(path):
     for y, score in entries.items():
         scores[y] = score
     return QcInstance(scores)
+
+
+# The list-based simulator that `slicedp.sync` replaced with one on uint64
+# arrays: maps round-trip through Python lists, and the local-slice code is
+# written out once per branch. Kept as the reference for the differential test.
+
+def _apply_map_oracle(order_map, elements):
+    if len(elements) == 0:
+        return []
+    arr = np.asarray(elements, dtype=np.uint64)
+    return [int(v) for v in order_map.apply(arr)]
+
+
+def _diff_and_rank_oracle(short, long):
+    # first position where the mapped lists disagree; the inserted element
+    # sits there and all later positions shift by one
+    if len(long) != len(short) + 1:
+        raise ValueError("order map is not adjacency preserving: output sizes differ by "
+                         f"{len(long) - len(short)}")
+    p0 = len(short)
+    for j in range(len(short)):
+        if short[j] != long[j]:
+            p0 = j
+            break
+    if short[p0:] != long[p0 + 1:]:
+        raise ValueError("order map is not adjacency preserving: suffixes disagree")
+    return long[p0], p0 + 1
+
+
+class DataHolderOracle:
+    def __init__(self, b, epsilon, rng):
+        _check_epsilon(epsilon)
+        if b not in (0, 1):
+            raise ValueError(f"b must be 0 or 1, got {b}")
+        self.b = b
+        self.epsilon = epsilon
+        self._rng = rng
+        self.stored = {}
+
+    def query(self, data, x, q, algorithm, order_map, step=None):
+        if q < 0:
+            raise ValueError(f"q must be nonnegative, got {q}")
+        delta = sample_geometric(self.epsilon, self._rng)
+        m_hat = q + delta
+        base = list(data) + ([x] if self.b == 1 else [])
+        ordered = _apply_map_oracle(order_map, base)
+        slice_part = ordered[:m_hat]
+        self.stored[step] = slice_part
+        result = algorithm(np.asarray(slice_part, dtype=np.uint64)) if algorithm else None
+        alpha, beta = sync_map(self.b, delta, self.epsilon, self._rng)
+        return q + alpha, beta, result
+
+    def delayed(self, step, algorithm):
+        return algorithm(np.asarray(self.stored[step], dtype=np.uint64))
+
+
+def simulate_oracle(data, x, b, script, epsilon, rng, delayed=None):
+    _check_epsilon(epsilon)
+    holder = DataHolderOracle(b, epsilon, rng)
+    current = [int(v) for v in as_elements(data)]
+    x_cur = int(x)
+    status = 0
+    published = []
+    holder_steps = []
+    sim_slices = {}
+
+    for i, spec in enumerate(script):
+        mapped = _apply_map_oracle(spec.map, current)
+        if status == 0:
+            mapped_with = _apply_map_oracle(spec.map, current + [x_cur])
+            if mapped == mapped_with:
+                status = 1  # map eliminated the diff element
+        if status == 1:
+            m_hat = spec.m + sample_geometric(epsilon, rng)
+            slice_part = mapped[:m_hat]
+            current = mapped[m_hat:]
+            sim_slices[i] = slice_part
+            result = spec.algorithm(np.asarray(slice_part, dtype=np.uint64)) \
+                if spec.algorithm else None
+        else:
+            m_hat = spec.m + sample_geometric(epsilon, rng)
+            x_prime, p = _diff_and_rank_oracle(mapped, mapped_with)
+            if m_hat < p:
+                # this round does not involve the diff element
+                slice_part = mapped[:m_hat]
+                current = mapped[m_hat:]
+                x_cur = x_prime
+                sim_slices[i] = slice_part
+                result = spec.algorithm(np.asarray(slice_part, dtype=np.uint64)) \
+                    if spec.algorithm else None
+            else:
+                q = max(p, spec.m)
+                q_hat, new_status, result = holder.query(current, x_cur, q,
+                                                         spec.algorithm, spec.map, step=i)
+                holder_steps.append(i)
+                if new_status == 0:
+                    if q_hat > len(mapped):
+                        # both executions exhausted; remainders are equal
+                        current = []
+                        status = 1
+                    else:
+                        y = mapped[q_hat - 1]
+                        current = mapped[q_hat:]
+                        x_cur = y
+                else:
+                    current = mapped[q_hat:]
+                    status = 1
+        published.append(result)
+
+    for step, algorithm in delayed or []:
+        if step in holder.stored:
+            published.append(holder.delayed(step, algorithm))
+        else:
+            published.append(algorithm(np.asarray(sim_slices[step], dtype=np.uint64)))
+
+    return SimTranscript(published=published, holder_calls=len(holder_steps),
+                         holder_steps=holder_steps, final_status=status,
+                         final_diff=None if status == 1 else x_cur)

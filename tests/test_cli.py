@@ -248,6 +248,18 @@ class TestLearnerCommands:
         assert record["payload"]["empirical_error"] <= 0.5
         assert record["parameters"]["xi"] == 0.2
 
+    @pytest.mark.parametrize("n,relation", [(3114, "<"), (3115, ">=")])
+    def test_threshold_record_states_the_comparison_that_holds(self, tmp_path, n, relation):
+        # 3,115 samples is the requirement at one bit, xi = beta = 0.9, delta 0.5
+        path = tmp_path / "thresh.csv"
+        path.write_text("0,1\n1,0\n" * (n // 2) + "0,1\n" * (n % 2))
+        rc, record = run(tmp_path, "thresh.json",
+                         ["learn-threshold", "--seed", "5", "--input", str(path),
+                          "--bits", "1", "--delta", "0.5", "--xi", "0.9", "--beta", "0.9"])
+        assert rc == 0
+        assert record["parameters"]["required_n"] == 3115
+        assert record["parameters"]["regime_inequality"] == f"n = {n} {relation} 3115"
+
     def test_threshold_rejects_bad_xi(self, tmp_path):
         path = tmp_path / "thresh.csv"
         path.write_text("1,1\n5,0\n")

@@ -1,8 +1,11 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedp import (
     AuditResult,
@@ -21,6 +24,8 @@ from slicedp import (
     sync_map_exact_dist,
     sync_threshold,
 )
+from slicedp.sync import _diff_and_rank
+from support import _diff_and_rank_oracle, simulate_oracle
 
 
 class TestThresholdSequence:
@@ -234,6 +239,89 @@ class TestSimulate:
         direct_out = [tuple(direct_run(data + [5], script, 0.5, rng, delayed=delayed))
                       for _ in range(trials)]
         assert estimate_tv(sim_out, direct_out) <= 0.03
+
+    @pytest.mark.parametrize("x, order", [(0, ascending_map()), (5, _dedup_ascending())],
+                             ids=["holder-slice", "simulator-slice"])
+    def test_second_delayed_request_refused_like_direct(self, x, order):
+        data = [3, 5, 9]
+        script = [SliceComputation(m=1, algorithm=None, map=order)] * 2
+        rng = np.random.default_rng(16)
+        # x = 0 sorts first, so step 0 is the holder's; x = 5 is collapsed
+        # into the data, so the simulator slices step 0 itself
+        owner = simulate(data, x, 1, script, 0.5, rng, delayed=[(0, _len_algorithm)])
+        assert (owner.holder_steps[:1] == [0]) == (x == 0)
+        twice = [(0, _len_algorithm), (0, _len_algorithm)]
+        message = re.escape("slice 0 already received 1 delayed compute(s)")
+        with pytest.raises(RuntimeError, match=message):
+            direct_run(data + [x], script, 0.5, rng, delayed=twice)
+        with pytest.raises(RuntimeError, match=message):
+            simulate(data, x, 1, script, 0.5, rng, delayed=twice)
+
+    @pytest.mark.parametrize("data, x", [([-1, 3], 0), ([1, 3], -5), ([1.5, 3], 0),
+                                         ([1, 3], 2.5), ([1, 3], 1 << 64)],
+                             ids=["negative-data", "negative-x", "float-data", "float-x",
+                                  "x-too-large"])
+    def test_bad_input_is_a_value_error(self, data, x):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ValueError):
+            simulate(data, x, 1, _script(), 0.5, rng)
+        with pytest.raises(ValueError):
+            direct_run(data + [x], _script(), 0.5, rng)
+
+
+def _slice_tuple(arr):
+    return tuple(arr.tolist())
+
+
+_MAPS = {"ascending": ascending_map(), "descending": descending_map(),
+         "dedup": _dedup_ascending(),
+         # relabels, so the diff element after the map differs from x
+         "halving": OrderMap("halving", lambda a: np.sort(a) // np.uint64(2))}
+_POOL = st.sampled_from([0, 1, 2, 7, 2 ** 63, 2 ** 64 - 1])
+
+
+@st.composite
+def _sessions(draw):
+    data = draw(st.lists(_POOL, max_size=12))
+    x = draw(st.one_of(_POOL, st.sampled_from(data)) if data else _POOL)
+    script = [SliceComputation(m=draw(st.integers(0, 3)),
+                               algorithm=draw(st.sampled_from([_slice_tuple, None])),
+                               map=_MAPS[draw(st.sampled_from(sorted(_MAPS)))])
+              for _ in range(draw(st.integers(1, 5)))]
+    steps = draw(st.lists(st.integers(0, len(script) - 1), unique=True, max_size=2))
+    delayed = [(step, _slice_tuple) for step in steps] or None
+    return data, x, script, delayed
+
+
+class TestSimulateMatchesListOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_sessions(), st.integers(0, 1), st.sampled_from([0.2, 0.5, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_same_transcript_and_draws(self, session, b, epsilon, seed):
+        data, x, script, delayed = session
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = simulate(data, x, b, script, epsilon, rng_new, delayed=delayed)
+        old = simulate_oracle(data, x, b, script, epsilon, rng_old, delayed=delayed)
+        assert new.published == old.published
+        assert new.holder_calls == old.holder_calls
+        assert new.holder_steps == old.holder_steps
+        assert new.final_status == old.final_status
+        assert new.final_diff == old.final_diff
+        assert rng_new.random() == rng_old.random()
+
+    @pytest.mark.parametrize("apply", [
+        # odd-sized inputs lose their two largest elements
+        lambda a: np.sort(a)[:-2] if a.size % 2 else np.sort(a),
+        # odd-sized inputs come out descending, so the suffixes disagree
+        lambda a: np.sort(a)[::-1] if a.size % 2 else np.sort(a),
+    ], ids=["drops-two", "suffixes-disagree"])
+    def test_broken_maps_raise_the_same_message(self, apply):
+        data = np.array([1, 2, 3, 4], dtype=np.uint64)
+        short, long = apply(data), apply(np.append(data, np.uint64(9)))
+        with pytest.raises(ValueError) as old:
+            _diff_and_rank_oracle([int(v) for v in short], [int(v) for v in long])
+        with pytest.raises(ValueError, match=re.escape(str(old.value))):
+            _diff_and_rank(short, long)
 
 
 class TestCallCountAudit:
