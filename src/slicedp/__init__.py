@@ -21,31 +21,28 @@ from .quasiconcave import (QcInstance, QcResult, build_increment_dataset,
 from .sync import (AuditResult, DataHolder, SimTranscript, SyncDist, SyncOutcome,
                    audit_call_count, direct_run, estimate_tv, simulate,
                    sync_gamma, sync_map, sync_map_exact_dist, sync_threshold)
-from .treelog import (EmbeddedList, RegimeError, TreeVertex, Universe, embed,
-                      embed_order_map, f_ipp, gamma, gamma_sensitivity_check,
-                      ipp, left_right_leaf, leftmost_leaf, log_star,
-                      one_heavy_round, regime_threshold, rightmost_leaf,
-                      slice_steps, subtree_weight, trim_parameter,
+from .treelog import (RegimeError, TreeVertex, Universe, embed_order_map, f_ipp,
+                      gamma, ipp, left_right_leaf, log_star, one_heavy_round,
+                      regime_threshold, slice_steps, trim_parameter,
                       vertex_interval)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "OrderMap", "RscSession", "SliceComputation", "PrivacyBudget",
-    "QualityFunction", "Universe", "TreeVertex", "EmbeddedList",
-    "RegimeError", "QcInstance", "QcResult", "LabeledSample", "Hypothesis",
-    "SyncOutcome", "SyncDist", "SimTranscript", "AuditResult", "DataHolder",
+    "QualityFunction", "Universe", "TreeVertex", "RegimeError", "QcInstance",
+    "QcResult", "LabeledSample", "Hypothesis", "SyncOutcome", "SyncDist",
+    "SimTranscript", "AuditResult", "DataHolder",
     "sample_geometric", "sample_laplace", "geometric_pmf", "exponential_mechanism",
     "choosing_mechanism", "choosing_error_bound", "ascending_map", "descending_map",
     "axis_map", "select_and_compute", "delayed_compute", "privacy_cost",
     "holder_call_cap", "sync_threshold", "sync_gamma", "sync_map",
     "sync_map_exact_dist", "simulate", "direct_run", "audit_call_count",
     "estimate_tv", "log_star", "trim_parameter", "regime_threshold", "slice_steps",
-    "f_ipp", "subtree_weight", "vertex_interval", "leftmost_leaf", "rightmost_leaf",
-    "left_right_leaf", "embed", "embed_order_map", "gamma",
-    "gamma_sensitivity_check", "one_heavy_round", "ipp",
-    "cumulative_distance", "is_quasi_concave", "build_increment_dataset",
-    "scaled_budget", "cumulative_regime_threshold", "cumulative_ipp", "qc_optimize",
+    "f_ipp", "vertex_interval", "left_right_leaf", "embed_order_map", "gamma",
+    "one_heavy_round", "ipp", "cumulative_distance",
+    "is_quasi_concave", "build_increment_dataset", "scaled_budget",
+    "cumulative_regime_threshold", "cumulative_ipp", "qc_optimize",
     "chain_size", "sample_code", "encode_hard_instance", "decode_hard_point",
     "hardness_reduction", "load_qc_csv", "learn_threshold_realizable",
     "learn_rectangles", "boundary_window_size", "threshold_sample_size",

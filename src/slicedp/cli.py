@@ -269,8 +269,8 @@ def _cmd_audit_sim(args: argparse.Namespace):
 
 
 def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
-                    seed: int, target: float = 0.9) -> int:
-    """Smallest n at which the solver hits `target` success over `trials`
+                    seed: int) -> int:
+    """Smallest n at which the solver hits 90% success over `trials`
     on the all-equal instance (unique interior point), by bisection.
 
     Trials share random streams across candidate sizes, so reruns with the
@@ -279,7 +279,7 @@ def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
     universe = Universe(bits)
     ceiling = regime_threshold(universe, epsilon, delta)
     point = universe.size // 2
-    allowed = math.floor((1.0 - target) * trials)
+    allowed = math.floor((1.0 - 0.9) * trials)
 
     def meets(n: int) -> bool:
         data = np.full(n, point, dtype=np.uint64)

@@ -16,30 +16,24 @@ from .mechanisms import PrivacyBudget, sample_geometric
 
 
 class Dataset:
-    """A multiset of domain elements; rows of a numpy array.
+    """A multiset of elements of X = [0, 2^L) as a uint64 numpy array;
+    rows of d coordinates each in X are accepted too."""
 
-    Scalars live in X = [0, 2^L) when a bit length is declared; learner inputs
-    are rows of d coordinates.
-    """
-
-    def __init__(self, elements, bit_length: Optional[int] = None):
+    def __init__(self, elements, bit_length: int):
         arr = as_elements(elements)
         if arr.dtype.kind == "f":
             bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
             if bad.size:
                 raise ValueError(f"element {bad[0]} is not a whole number")
-        if bit_length is not None:
-            if not (1 <= bit_length <= 64):
-                raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
-            if arr.size:
-                if arr.dtype.kind != "u" and arr.min() < 0:
-                    raise ValueError(f"negative element {arr.min()} in {bit_length}-bit domain")
-                if int(arr.max()) >= (1 << bit_length):
-                    raise ValueError(
-                        f"element {int(arr.max())} out of range for {bit_length}-bit domain")
-            arr = arr.astype(np.uint64)
-        self.elements = arr
-        self.bit_length = bit_length
+        if not (1 <= bit_length <= 64):
+            raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
+        if arr.size:
+            if arr.dtype.kind != "u" and arr.min() < 0:
+                raise ValueError(f"negative element {arr.min()} in {bit_length}-bit domain")
+            if int(arr.max()) >= (1 << bit_length):
+                raise ValueError(
+                    f"element {int(arr.max())} out of range for {bit_length}-bit domain")
+        self.elements = arr.astype(np.uint64)
 
     def __len__(self):
         return int(self.elements.shape[0])

@@ -152,8 +152,7 @@ def learn_rectangles(sample: LabeledSample, epsilon: float, delta: float,
     intervals = []
     for axis in range(d):
         def solve(rows, axis=axis):
-            coords = rows[:, axis] if rows.ndim == 2 else rows
-            return ipp(universe, coords, epsilon, delta, rng, enforce_regime=False)
+            return ipp(universe, rows[:, axis], epsilon, delta, rng, enforce_regime=False)
 
         low, _ = select_and_compute(session, SliceComputation(m, solve, axis_map(axis)), rng)
         high, _ = select_and_compute(

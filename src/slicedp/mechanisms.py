@@ -31,9 +31,8 @@ class PrivacyBudget:
 class QualityFunction:
     """A scoring rule for candidate selection.
 
-    :param evaluate: (dataset, candidate) -> real score.
-    :param sensitivity: declared sensitivity (adding or removing one element
-        changes no score by more than this).
+    :param evaluate: (dataset, candidate) -> real score of sensitivity 1
+        (adding or removing one element changes no score by more than 1).
     :param bound_k: present iff the function is k-bounded: scores are
         nonnegative, the empty dataset scores 0 everywhere, and adding one
         element raises at most ``bound_k`` candidate scores, each by at most 1.
@@ -42,7 +41,6 @@ class QualityFunction:
     """
 
     evaluate: Callable
-    sensitivity: float = 1.0
     bound_k: Optional[int] = None
     touched: Optional[Callable] = None
 
@@ -92,7 +90,7 @@ def exponential_mechanism(candidates: Sequence, q: QualityFunction, dataset,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     scores = np.array([float(q.evaluate(dataset, z)) for z in candidates])
-    probs = _em_probabilities(scores, epsilon / q.sensitivity)
+    probs = _em_probabilities(scores, epsilon)
     idx = int(rng.choice(len(candidates), p=probs))
     return candidates[idx]
 
@@ -134,8 +132,7 @@ def choosing_mechanism(q: QualityFunction, dataset, epsilon: float, delta: float
     positive = [(z, s) for z, s in zip(candidates, scores) if s > 0.0]
     if not positive:
         return fallback
-    probs = _em_probabilities(np.array([s for _, s in positive]),
-                              (epsilon / 2.0) / q.sensitivity)
+    probs = _em_probabilities(np.array([s for _, s in positive]), epsilon / 2.0)
     idx = int(rng.choice(len(positive), p=probs))
     return positive[idx][0]
 

@@ -211,8 +211,7 @@ def decode_hard_point(y_star: Sequence[int], z: Tuple[int, ...]) -> int:
     return ell
 
 
-def hardness_reduction(blackbox: Callable, data, rng: np.random.Generator,
-                       m: int = 2) -> int:
+def hardness_reduction(blackbox: Callable, data, rng: np.random.Generator) -> int:
     """Turn an interior-point solver over X_2 into one over X_1 = [10].
 
     Encodes the dataset with a fresh secret code, queries the black box once
@@ -221,8 +220,6 @@ def hardness_reduction(blackbox: Callable, data, rng: np.random.Generator,
     the secret by chance beyond the data's support (probability <= 1/38 per
     coordinate) or the solver itself fails.
     """
-    if m != 2:
-        raise ValueError(f"only the m = 2 chain is desk-scale, got m = {m}")
     z = sample_code(rng)
     encoded = encode_hard_instance(data, z)
     y_star = blackbox(encoded)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import (Dataset, OrderMap, RscSession, SliceComputation, delayed_compute,
                      select_and_compute)
-from .mechanisms import PrivacyBudget, sample_geometric
+from .mechanisms import PrivacyBudget, geometric_pmf, sample_geometric
 
 
 class SyncOutcome(NamedTuple):
@@ -33,6 +33,11 @@ class SyncDist(NamedTuple):
 def _check_epsilon(epsilon: float):
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+
+
+def _check_diff_element(x):
+    if not 0 <= x < 1 << 64 or x != int(x):
+        raise ValueError(f"diff element x must be an integer in [0, 2^64), got {x}")
 
 
 def sync_threshold(epsilon: float, i: int) -> float:
@@ -52,6 +57,14 @@ def sync_gamma(epsilon: float) -> int:
     return i
 
 
+def _stay_probability(b: int, m: int, epsilon: float) -> float:
+    """Pr[beta = 0 | m]: e^-eps at m = 0 and t_m e^{m eps} for b = 0;
+    t_m e^{(m+1) eps} for b = 1."""
+    if b == 0 and m == 0:
+        return math.exp(-epsilon)
+    return sync_threshold(epsilon, m) * math.exp((m + b) * epsilon)
+
+
 def sync_map(b: int, m: int, epsilon: float, rng: np.random.Generator) -> SyncOutcome:
     """Sample (alpha, beta) from R^b_eps(m).
 
@@ -65,16 +78,9 @@ def sync_map(b: int, m: int, epsilon: float, rng: np.random.Generator) -> SyncOu
         raise ValueError(f"m must be nonnegative, got {m}")
     if b == 1 and m == 0:
         return SyncOutcome(0, 0)
-    t_m = sync_threshold(epsilon, m)
-    if b == 0:
-        stay = math.exp(-epsilon) if m == 0 else t_m * math.exp(m * epsilon)
-        if rng.random() < stay:
-            return SyncOutcome(m, 0)
-        return SyncOutcome(m, 1)
-    stay = t_m * math.exp((m + 1) * epsilon)
-    if rng.random() < stay:
+    if rng.random() < _stay_probability(b, m, epsilon):
         return SyncOutcome(m, 0)
-    return SyncOutcome(m - 1, 1)
+    return SyncOutcome(m - b, 1)
 
 
 def sync_map_exact_dist(b: int, epsilon: float, cutoff: int) -> SyncDist:
@@ -88,23 +94,20 @@ def sync_map_exact_dist(b: int, epsilon: float, cutoff: int) -> SyncDist:
     if cutoff < gamma + 1:
         raise ValueError(f"cutoff must be at least gamma + 1 = {gamma + 1}, got {cutoff}")
 
-    def g(i: int) -> float:
-        return math.exp(-i * epsilon) * (1.0 - math.exp(-epsilon))
-
     out = {}
     if b == 0:
         for i in range(cutoff + 1):
-            stay = math.exp(-epsilon) if i == 0 else sync_threshold(epsilon, i) * math.exp(i * epsilon)
-            out[(i, 0)] = g(i) * stay
-            out[(i, 1)] = g(i) * (1.0 - stay)
+            stay = _stay_probability(0, i, epsilon)
+            out[(i, 0)] = geometric_pmf(epsilon, i) * stay
+            out[(i, 1)] = geometric_pmf(epsilon, i) * (1.0 - stay)
         tail = math.exp(-(cutoff + 1) * epsilon)
     else:
-        out[(0, 0)] = g(0)
+        out[(0, 0)] = geometric_pmf(epsilon, 0)
         for i in range(1, cutoff + 2):
-            stay = sync_threshold(epsilon, i) * math.exp((i + 1) * epsilon)
+            stay = _stay_probability(1, i, epsilon)
             if i <= cutoff:
-                out[(i, 0)] = out.get((i, 0), 0.0) + g(i) * stay
-            out[(i - 1, 1)] = g(i) * (1.0 - stay)
+                out[(i, 0)] = out.get((i, 0), 0.0) + geometric_pmf(epsilon, i) * stay
+            out[(i - 1, 1)] = geometric_pmf(epsilon, i) * (1.0 - stay)
         tail = math.exp(-(cutoff + 2) * epsilon)
     outcomes = sorted(out.items())
     return SyncDist(outcomes, tail)
@@ -153,8 +156,9 @@ class DataHolder:
               order_map: OrderMap, step: Optional[int] = None):
         if q < 0:
             raise ValueError(f"q must be nonnegative, got {q}")
+        _check_diff_element(x)
+        base = Dataset(data, 64).elements
         delta = sample_geometric(self.epsilon, self._rng)
-        base = np.asarray(data, dtype=np.uint64)
         if self.b == 1:
             base = np.append(base, np.uint64(x))
         slice_part = self.stored[step] = order_map.apply(base)[:q + delta]
@@ -179,8 +183,7 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     lives; as in a direct run, each slice takes at most one.
     """
     _check_epsilon(epsilon)
-    if not 0 <= x < 1 << 64 or x != int(x):
-        raise ValueError(f"diff element x must be an integer in [0, 2^64), got {x}")
+    _check_diff_element(x)
     holder = DataHolder(b, epsilon, rng)
     current = Dataset(data, 64).elements
     x_cur = np.uint64(x)

@@ -50,16 +50,6 @@ class TreeVertex:
             raise ValueError(f"prefix {self.prefix} out of range at depth {self.depth}")
 
 
-@dataclass(frozen=True)
-class EmbeddedList:
-    """Output of the embedding: (label, element) pairs in reversed
-    lexicographic order, the balance statistic, and the descent path."""
-
-    pairs: List[Tuple[int, int]]
-    gamma: int
-    path: List[TreeVertex]
-
-
 class RegimeError(ValueError):
     """Dataset too small for the accuracy regime; raised instead of silently
     returning a point with no utility guarantee."""
@@ -117,28 +107,12 @@ def vertex_interval(v: TreeVertex, universe: Universe) -> Tuple[int, int]:
     return v.prefix * width, (v.prefix + 1) * width
 
 
-def leftmost_leaf(v: TreeVertex, universe: Universe) -> int:
-    return vertex_interval(v, universe)[0]
-
-
-def rightmost_leaf(v: TreeVertex, universe: Universe) -> int:
-    return vertex_interval(v, universe)[1] - 1
-
-
 def left_right_leaf(v: TreeVertex, universe: Universe) -> int:
     """Rightmost leaf of v's left child: the midpoint separating the children."""
     if v.depth >= universe.bit_length:
         raise ValueError("leaf vertices have no children")
     lo, hi = vertex_interval(v, universe)
     return lo + (hi - lo) // 2 - 1
-
-
-def subtree_weight(sorted_data: np.ndarray, v: TreeVertex, universe: Universe) -> int:
-    """Number of elements in v's interval; two binary searches on sorted input."""
-    lo, hi = vertex_interval(v, universe)
-    left = int(np.searchsorted(sorted_data, np.uint64(lo), side="left"))
-    right = int(np.searchsorted(sorted_data, np.uint64(hi - 1), side="right"))
-    return right - left
 
 
 def _heavy_path(sorted_data: np.ndarray, bit_length: int):
@@ -166,34 +140,6 @@ def _heavy_path(sorted_data: np.ndarray, bit_length: int):
     return light, lo
 
 
-def _embed_arrays(arr: np.ndarray, universe: Universe):
-    """Label each element with the level at which it leaves the greedy path.
-
-    Returns (labels, elements) in reversed lexicographic order (label
-    descending, element descending), the balance statistic gamma, and the
-    descent path.
-    """
-    bits = universe.bit_length
-    sorted_data = np.sort(arr.astype(np.uint64, copy=False))
-    light, leaf = _heavy_path(sorted_data, bits)
-    labels = np.full(sorted_data.size, bits, dtype=np.uint64)
-    for depth, (j0, j1) in enumerate(light):
-        labels[j0:j1] = depth + 1
-    path = [TreeVertex(depth, leaf >> (bits - depth)) for depth in range(bits + 1)]
-    order = np.lexsort((sorted_data, labels))[::-1]
-    return labels[order], sorted_data[order], max(j1 - j0 for j0, j1 in light), path
-
-
-def embed(data, universe: Universe) -> EmbeddedList:
-    """Greedy heavy-path embedding of the dataset into labels {1..bit_length}."""
-    arr = Dataset(data, universe.bit_length).elements
-    if arr.size == 0:
-        raise ValueError("embedding requires a nonempty dataset")
-    labels, elements, gamma_value, path = _embed_arrays(arr, universe)
-    pairs = [(int(y), int(x)) for y, x in zip(labels, elements)]
-    return EmbeddedList(pairs=pairs, gamma=gamma_value, path=path)
-
-
 def _project_labels(arr: np.ndarray) -> np.ndarray:
     # label column of an embedded slice, shifted to the child domain {0..L-1}
     if arr.ndim == 2:
@@ -202,15 +148,19 @@ def _project_labels(arr: np.ndarray) -> np.ndarray:
 
 
 def embed_order_map(universe: Universe) -> OrderMap:
-    """Order map producing (label, element) rows in reversed lexicographic
-    order; the engine slices rows, callers project out either column."""
+    """Greedy heavy-path embedding as an order map: each element is labeled
+    with the level {1..L} at which it leaves the greedy path, and the
+    (label, element) rows come in reversed lexicographic order. The engine
+    slices rows; callers project out either column."""
 
     def apply(a: np.ndarray) -> np.ndarray:
-        values = _project_labels(a)
-        if values.size == 0:
-            return np.empty((0, 2), dtype=np.uint64)
-        labels, elements, _, _ = _embed_arrays(values, universe)
-        return np.column_stack((labels, elements))
+        sorted_data = np.sort(_project_labels(a).astype(np.uint64, copy=False))
+        light, _ = _heavy_path(sorted_data, universe.bit_length)
+        labels = np.full(sorted_data.size, universe.bit_length, dtype=np.uint64)
+        for depth, (j0, j1) in enumerate(light):
+            labels[j0:j1] = depth + 1
+        order = np.lexsort((sorted_data, labels))[::-1]
+        return np.column_stack((labels[order], sorted_data[order]))
 
     return OrderMap(f"embed-{universe.bit_length}", apply)
 
@@ -220,13 +170,6 @@ def gamma(data, universe: Universe) -> int:
     sorted_data = np.sort(as_elements(data).astype(np.uint64, copy=False))
     light, _ = _heavy_path(sorted_data, universe.bit_length)
     return max(j1 - j0 for j0, j1 in light)
-
-
-def gamma_sensitivity_check(data, x, universe: Universe) -> int:
-    """1 iff adding x moves the balance statistic by at most 1."""
-    base = gamma(data, universe)
-    arr = np.append(as_elements(data).astype(np.uint64, copy=False), np.uint64(x))
-    return 1 if abs(gamma(arr, universe) - base) <= 1 else 0
 
 
 def one_heavy_round(data, universe: Universe, t: int, epsilon: float,
@@ -297,8 +240,8 @@ def _depth_vertex_quality(universe: Universe, depth: int,
 def _candidate_leaves(v: TreeVertex, universe: Universe) -> List[int]:
     if v.depth >= universe.bit_length:
         return [v.prefix]
-    return sorted({leftmost_leaf(v, universe), rightmost_leaf(v, universe),
-                   left_right_leaf(v, universe)})
+    lo, hi = vertex_interval(v, universe)
+    return sorted({lo, hi - 1, left_right_leaf(v, universe)})
 
 
 def ipp(universe: Universe, data, epsilon: float, delta: float,

@@ -2,22 +2,26 @@
 
 Everything here is deliberately independent of the library internals: counts
 are recomputed with plain Python or scipy so library outputs are checked
-against a second implementation, not against themselves.
+against a second implementation, not against themselves. The one exception
+is `embedding`, which reads the shipped order map on purpose so the
+adjacency checks run on the embedding `ipp` uses.
 """
 
 import csv
 import math
 from bisect import bisect_right
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
 from slicedp import (Dataset, LabeledSample, QcInstance, SimTranscript, TreeVertex,
-                     Universe, left_right_leaf, sample_geometric, sample_laplace,
-                     subtree_weight, sync_map, vertex_interval)
+                     Universe, embed_order_map, gamma, left_right_leaf, sample_geometric,
+                     sample_laplace, sync_map, vertex_interval)
 from slicedp.engine import as_elements
 from slicedp.sync import _check_epsilon
+from slicedp.treelog import _heavy_path
 
 
 def chi_squared_two_sample(counts_a, counts_b, min_expected=5.0):
@@ -73,6 +77,40 @@ def cumdist_oracle(a, b):
     for z in sorted(set(sa) | set(sb)):
         best = max(best, abs(bisect_right(sa, z) - bisect_right(sb, z)))
     return best
+
+
+def subtree_weight(sorted_data, v, universe):
+    """Number of elements in v's interval; two binary searches on sorted input."""
+    lo, hi = vertex_interval(v, universe)
+    left = int(np.searchsorted(sorted_data, np.uint64(lo), side="left"))
+    right = int(np.searchsorted(sorted_data, np.uint64(hi - 1), side="right"))
+    return right - left
+
+
+def gamma_sensitivity_check(data, x, universe):
+    """1 iff adding x moves the balance statistic by at most 1."""
+    base = gamma(data, universe)
+    arr = np.append(as_elements(data).astype(np.uint64, copy=False), np.uint64(x))
+    return 1 if abs(gamma(arr, universe) - base) <= 1 else 0
+
+
+class Embedding(NamedTuple):
+    pairs: list
+    gamma: int
+    path: list
+
+
+def embedding(data, universe):
+    """The embedding `ipp` runs, read off the shipped code rather than an
+    oracle: the (label, element) rows of `embed_order_map` as pairs, the
+    balance statistic, and the greedy path from the root to the leaf the
+    heavy-path walk reaches."""
+    bits = universe.bit_length
+    arr = Dataset(data, bits).elements
+    rows = embed_order_map(universe).apply(arr)
+    _, leaf = _heavy_path(np.sort(arr), bits)
+    path = [TreeVertex(depth, leaf >> (bits - depth)) for depth in range(bits + 1)]
+    return Embedding([tuple(r) for r in rows.tolist()], gamma(arr, universe), path)
 
 
 def _common_path_depth(path_a, path_b):

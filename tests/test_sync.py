@@ -157,6 +157,13 @@ class TestHolderQuery:
             DataHolder(0, 0.5, np.random.default_rng(0)).query(
                 [1], 0, q=-1, algorithm=None, order_map=ascending_map())
 
+    @pytest.mark.parametrize("data, x", [([-1, 3], 0), ([1, 3], -2), ([1.5, 3], 0)],
+                             ids=["negative-data", "negative-x", "float-data"])
+    def test_bad_input_is_a_value_error(self, data, x):
+        with pytest.raises(ValueError):
+            DataHolder(1, 0.5, np.random.default_rng(0)).query(
+                data, x, q=1, algorithm=None, order_map=ascending_map())
+
 
 def _script(tau=2, m=2):
     specs = []

@@ -12,25 +12,21 @@ from slicedp import (
     RegimeError,
     TreeVertex,
     Universe,
-    embed,
     embed_order_map,
     f_ipp,
     gamma,
-    gamma_sensitivity_check,
     ipp,
     left_right_leaf,
-    leftmost_leaf,
     log_star,
     one_heavy_round,
     regime_threshold,
-    rightmost_leaf,
     slice_steps,
-    subtree_weight,
     trim_parameter,
     vertex_interval,
 )
-from support import (clustered_instance, embed_oracle, insertion_relabel_check,
-                     one_heavy_round_oracle)
+from slicedp.treelog import _candidate_leaves
+from support import (clustered_instance, embed_oracle, embedding, gamma_sensitivity_check,
+                     insertion_relabel_check, one_heavy_round_oracle, subtree_weight)
 
 
 class TestParameters:
@@ -86,8 +82,8 @@ class TestVertexGeometry:
         u = Universe(4)
         assert vertex_interval(TreeVertex(0, 0), u) == (0, 16)
         assert vertex_interval(TreeVertex(2, 3), u) == (12, 16)
-        assert leftmost_leaf(TreeVertex(1, 1), u) == 8
-        assert rightmost_leaf(TreeVertex(1, 1), u) == 15
+        assert vertex_interval(TreeVertex(1, 1), u) == (8, 16)
+        assert _candidate_leaves(TreeVertex(1, 1), u) == [8, 11, 15]
         assert left_right_leaf(TreeVertex(0, 0), u) == 7
 
 
@@ -131,13 +127,13 @@ class TestCountQueries:
 
 class TestEmbedding:
     def test_hand_case(self):
-        out = embed([0, 0, 7], Universe(3))
+        out = embedding([0, 0, 7], Universe(3))
         assert out.pairs == [(3, 0), (3, 0), (1, 7)]
         assert out.gamma == 1
 
     def test_all_equal(self):
         u = Universe(10)
-        out = embed([77] * 9, u)
+        out = embedding([77] * 9, u)
         assert out.gamma == 0
         assert all(y == u.bit_length for y, _ in out.pairs)
 
@@ -145,7 +141,7 @@ class TestEmbedding:
         rng = np.random.default_rng(22)
         u = Universe(12)
         data = rng.integers(0, u.size, size=150)
-        out = embed(data, u)
+        out = embedding(data, u)
         assert len(out.pairs) == 150
         assert all(1 <= y <= u.bit_length for y, _ in out.pairs)
         assert out.pairs == sorted(out.pairs, reverse=True)
@@ -158,7 +154,7 @@ class TestEmbedding:
         for _ in range(30):
             raw = rng.integers(0, u.size, size=rng.integers(1, 120))
             data = np.sort(raw.astype(np.uint64))
-            out = embed(raw, u)
+            out = embedding(raw, u)
             counts = Counter(y for y, _ in out.pairs)
             leaf = out.path[-1]
             for q in range(1, u.bit_length + 1):
@@ -170,8 +166,9 @@ class TestEmbedding:
                 assert counts.get(q, 0) == expected
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            embed([], Universe(4))
+        rows = embed_order_map(Universe(4)).apply(np.array([], dtype=np.uint64))
+        assert rows.shape == (0, 2)
+        assert rows.dtype == np.uint64
 
     def test_order_map_rows(self):
         u = Universe(6)
@@ -206,8 +203,8 @@ class TestBalanceStatistic:
                 data = [int(v) for v in rng.integers(0, u.size,
                                                      size=rng.integers(2, 120))]
             x = int(rng.integers(0, u.size))
-            ea = embed(data, u)
-            eb = embed(data + [x], u)
+            ea = embedding(data, u)
+            eb = embedding(data + [x], u)
             t = max(ea.gamma, eb.gamma) + 1
             zone = insertion_relabel_check(ea, eb, x, 2 * t)
             assert zone <= 2 * t
@@ -258,8 +255,7 @@ class TestHeavyPathWalk:
         data = np.array(values, dtype=np.uint64)
         u = Universe(bits)
         pairs, gamma_value, path = _assert_walk_matches_oracle(data, u, seed, t, epsilon)
-        out = embed(data, u)
-        assert (out.pairs, out.gamma, out.path) == (pairs, gamma_value, path)
+        assert embedding(data, u) == (pairs, gamma_value, path)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 63).flatmap(lambda bits: st.tuples(
