@@ -2,9 +2,9 @@
 reorder-slice-compute sessions, with a simulation-based privacy audit harness.
 """
 
-from .engine import (Dataset, OrderMap, RscSession, SliceComputation,
-                     ascending_map, axis_map, delayed_compute, descending_map,
-                     holder_call_cap, privacy_cost, select_and_compute)
+from .engine import (OrderMap, RscSession, SliceComputation, ascending_map, axis_map,
+                     delayed_compute, descending_map, holder_call_cap, privacy_cost,
+                     select_and_compute)
 from .learners import (Hypothesis, LabeledSample, boundary_window_size,
                        learn_rectangles, learn_threshold_realizable,
                        load_labeled_csv, rectangle_gate_threshold,
@@ -29,7 +29,7 @@ from .treelog import (RegimeError, TreeVertex, Universe, embed_order_map, f_ipp,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "OrderMap", "RscSession", "SliceComputation", "PrivacyBudget",
+    "OrderMap", "RscSession", "SliceComputation", "PrivacyBudget",
     "QualityFunction", "Universe", "TreeVertex", "RegimeError", "QcInstance",
     "QcResult", "LabeledSample", "Hypothesis", "SyncOutcome", "SyncDist",
     "SimTranscript", "AuditResult", "DataHolder",

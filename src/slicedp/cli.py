@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (Dataset, SliceComputation, ascending_map, holder_call_cap,
+from .engine import (SliceComputation, as_elements, ascending_map, holder_call_cap,
                      privacy_cost)
 from .learners import (learn_rectangles, learn_threshold_realizable, load_labeled_csv,
                        threshold_sample_size)
@@ -45,7 +45,7 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ValueError(f"bits must lie in [1, 64], got {args.bits}")
 
 
-def load_dataset(path, bit_length: int) -> Dataset:
+def load_dataset(path, bit_length: int) -> np.ndarray:
     """Newline-delimited unsigned decimal integers; blank lines are skipped."""
     table = read_int_table(path, np.uint64, header=False)
     values = table.values
@@ -57,7 +57,7 @@ def load_dataset(path, bit_length: int) -> Dataset:
         table.reject(values >= np.uint64(limit), lambda i: (
             f"value {values[i]} out of range for {bit_length}-bit domain "
             f"(must be < {limit})"))
-    return Dataset(values, bit_length)
+    return as_elements(values, bit_length)
 
 
 def _record(args: argparse.Namespace, parameters: dict, payload, success: bool,
@@ -112,7 +112,7 @@ def _cmd_ipp(args: argparse.Namespace):
               f"privacy guarantee", file=sys.stderr)
     rng = _trial_rng(args.seed, 0)
     value = ipp(universe, data, args.epsilon, args.delta, rng)
-    lo, hi = int(data.elements.min()), int(data.elements.max())
+    lo, hi = int(data.min()), int(data.max())
     payload = {"value": int(value), "interior": bool(lo <= int(value) <= hi)}
     return parameters, payload, True
 

@@ -15,42 +15,36 @@ import numpy as np
 from .mechanisms import PrivacyBudget, sample_geometric
 
 
-class Dataset:
-    """A multiset of elements of X = [0, 2^L) as a uint64 numpy array;
-    rows of d coordinates each in X are accepted too."""
+def as_elements(data, bit_length: int) -> np.ndarray:
+    """Caller data as a uint64 array of elements of X = [0, 2^bit_length);
+    rows of d coordinates each in X are accepted too.
 
-    def __init__(self, elements, bit_length: int):
-        arr = as_elements(elements)
-        if arr.dtype.kind == "f":
-            bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
-            if bad.size:
-                raise ValueError(f"element {bad[0]} is not a whole number")
-        if not (1 <= bit_length <= 64):
-            raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
-        if arr.size:
-            if arr.dtype.kind != "u" and arr.min() < 0:
-                raise ValueError(f"negative element {arr.min()} in {bit_length}-bit domain")
-            if int(arr.max()) >= (1 << bit_length):
-                raise ValueError(
-                    f"element {int(arr.max())} out of range for {bit_length}-bit domain")
-        self.elements = arr.astype(np.uint64)
-
-    def __len__(self):
-        return int(self.elements.shape[0])
-
-
-def as_elements(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.elements
-    if isinstance(data, np.ndarray):
-        return data
+    Raises ValueError on a bit length outside [1, 64] and on a negative,
+    non-integer or out-of-range element. A uint64 array at bit length 64
+    is returned as it is, since every value it can hold lies in X.
+    """
+    if not (1 <= bit_length <= 64):
+        raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
     arr = np.asarray(data)
-    if arr.dtype.kind == "f" and arr.size:
-        # numpy rounds integers that share no integer dtype through float64
+    if arr.dtype == np.uint64 and bit_length == 64:
+        return arr
+    if arr.size and (arr.dtype.kind == "O" or (arr.dtype.kind == "f" and arr is not data)):
+        # numpy rounds integers that share no integer dtype through float64;
+        # Python integers stay exact, anything else is checked as a float
         exact = np.asarray(data, dtype=object)
-        if all(isinstance(v, (int, np.integer)) for v in exact.flat):
-            return exact.astype(np.uint64) if exact.min() >= 0 else exact
-    return arr
+        arr = exact if all(isinstance(v, (int, np.integer)) for v in exact.flat) \
+            else arr.astype(np.float64)
+    if arr.dtype.kind == "f":
+        bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
+        if bad.size:
+            raise ValueError(f"element {bad[0]} is not a whole number")
+    if arr.size:
+        if arr.dtype.kind != "u" and arr.min() < 0:
+            raise ValueError(f"negative element {arr.min()} in {bit_length}-bit domain")
+        if int(arr.max()) >= (1 << bit_length):
+            raise ValueError(
+                f"element {int(arr.max())} out of range for {bit_length}-bit domain")
+    return arr.astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ class RscSession:
             raise ValueError(f"per-step epsilon must lie in (0, 1], got {budget.epsilon}")
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        self.remaining = as_elements(data)
+        self.remaining = as_elements(data, 64)
         self.stored_slices = {}
         self.step = 0
         self.tau = tau

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .engine import Dataset, RscSession, SliceComputation, axis_map, select_and_compute
+from .engine import RscSession, SliceComputation, as_elements, axis_map, select_and_compute
 from .mechanisms import PrivacyBudget, sample_laplace
 from .tables import read_int_table
 from .treelog import Universe, ipp, regime_threshold
@@ -32,7 +32,7 @@ class LabeledSample:
     universe: Universe
 
     def __post_init__(self):
-        points = Dataset(self.points, self.universe.bit_length).elements
+        points = as_elements(self.points, self.universe.bit_length)
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1 or labels.shape[0] != points.shape[0]:
             raise ValueError("labels must be one per point")
@@ -64,7 +64,7 @@ class Hypothesis:
                     raise ValueError(f"interval [{a}, {b}] is not well ordered")
 
     def predict(self, points) -> np.ndarray:
-        arr = np.asarray(points, dtype=np.uint64)
+        arr = as_elements(points, 64)
         if self.zero:
             return np.zeros(arr.shape[0], dtype=np.int64)
         if self.threshold is not None:

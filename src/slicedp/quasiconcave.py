@@ -14,15 +14,13 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Dataset
+from .engine import as_elements
 from .mechanisms import sample_laplace
 from .tables import read_int_table
 from .treelog import Universe, ipp, log_star, regime_threshold
 
 
 def _as_sorted_list(data) -> list:
-    if isinstance(data, Dataset):
-        return sorted(data.elements.tolist())
     if isinstance(data, np.ndarray):
         return sorted(data.tolist())
     return sorted(data)
@@ -192,8 +190,7 @@ def encode_hard_instance(data, z: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     if len(z) != b1:
         raise ValueError(f"code must have {b1} coordinates, got {len(z)}")
     encoded = []
-    for x in _as_sorted_list(data):
-        x = int(x)
+    for x in sorted(as_elements(data, 64).tolist()):
         if not (1 <= x <= b1):
             raise ValueError(f"level-1 elements must lie in [1, {b1}], got {x}")
         encoded.append(z[:x] + (1,) * (b1 - x))

@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import (Dataset, OrderMap, RscSession, SliceComputation, delayed_compute,
+from .engine import (OrderMap, RscSession, SliceComputation, as_elements, delayed_compute,
                      select_and_compute)
 from .mechanisms import PrivacyBudget, geometric_pmf, sample_geometric
 
@@ -33,11 +33,6 @@ class SyncDist(NamedTuple):
 def _check_epsilon(epsilon: float):
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-
-
-def _check_diff_element(x):
-    if not 0 <= x < 1 << 64 or x != int(x):
-        raise ValueError(f"diff element x must be an integer in [0, 2^64), got {x}")
 
 
 def sync_threshold(epsilon: float, i: int) -> float:
@@ -156,11 +151,11 @@ class DataHolder:
               order_map: OrderMap, step: Optional[int] = None):
         if q < 0:
             raise ValueError(f"q must be nonnegative, got {q}")
-        _check_diff_element(x)
-        base = Dataset(data, 64).elements
+        x = as_elements(x, 64)
+        base = as_elements(data, 64)
         delta = sample_geometric(self.epsilon, self._rng)
         if self.b == 1:
-            base = np.append(base, np.uint64(x))
+            base = np.append(base, x)
         slice_part = self.stored[step] = order_map.apply(base)[:q + delta]
         result = algorithm(slice_part) if algorithm else None
         alpha, beta = sync_map(self.b, delta, self.epsilon, self._rng)
@@ -183,10 +178,9 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     lives; as in a direct run, each slice takes at most one.
     """
     _check_epsilon(epsilon)
-    _check_diff_element(x)
+    x_cur = as_elements(x, 64)
     holder = DataHolder(b, epsilon, rng)
-    current = Dataset(data, 64).elements
-    x_cur = np.uint64(x)
+    current = as_elements(data, 64)
     status = 0
     published = []
     holder_steps = []
@@ -237,8 +231,7 @@ def direct_run(data, script: Sequence[SliceComputation], epsilon: float,
                rng: np.random.Generator,
                delayed: Optional[Sequence[Tuple[int, Callable]]] = None) -> list:
     """Published outputs of a plain (non-simulated) slicing session."""
-    session = RscSession(Dataset(data, 64), tau=len(script),
-                         budget=PrivacyBudget(epsilon), k=1)
+    session = RscSession(data, tau=len(script), budget=PrivacyBudget(epsilon), k=1)
     published = []
     for spec in script:
         result, _ = select_and_compute(session, spec, rng)

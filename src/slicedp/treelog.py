@@ -15,8 +15,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .engine import (Dataset, OrderMap, RscSession, SliceComputation, as_elements,
-                     delayed_compute, descending_map, select_and_compute)
+from .engine import (OrderMap, RscSession, SliceComputation, as_elements, delayed_compute,
+                     descending_map, select_and_compute)
 from .mechanisms import (PrivacyBudget, QualityFunction, choosing_mechanism,
                          exponential_mechanism, sample_laplace)
 
@@ -92,8 +92,8 @@ def regime_threshold(universe: Universe, epsilon: float, delta: float) -> int:
 
 def f_ipp(data, z) -> int:
     """min(#{x <= z}, #{x >= z}): positive iff z is an interior point."""
-    arr = np.sort(as_elements(data).astype(np.uint64, copy=False))
-    key = np.uint64(int(z))
+    arr = np.sort(as_elements(data, 64))
+    key = as_elements(z, 64)
     le = int(np.searchsorted(arr, key, side="right"))
     ge = arr.size - int(np.searchsorted(arr, key, side="left"))
     return min(le, ge)
@@ -154,7 +154,7 @@ def embed_order_map(universe: Universe) -> OrderMap:
     slices rows; callers project out either column."""
 
     def apply(a: np.ndarray) -> np.ndarray:
-        sorted_data = np.sort(_project_labels(a).astype(np.uint64, copy=False))
+        sorted_data = np.sort(_project_labels(a))
         light, _ = _heavy_path(sorted_data, universe.bit_length)
         labels = np.full(sorted_data.size, universe.bit_length, dtype=np.uint64)
         for depth, (j0, j1) in enumerate(light):
@@ -167,7 +167,7 @@ def embed_order_map(universe: Universe) -> OrderMap:
 
 def gamma(data, universe: Universe) -> int:
     """Max over the greedy path of the lighter-child weight; sensitivity 1."""
-    sorted_data = np.sort(as_elements(data).astype(np.uint64, copy=False))
+    sorted_data = np.sort(as_elements(data, 64))
     light, _ = _heavy_path(sorted_data, universe.bit_length)
     return max(j1 - j0 for j0, j1 in light)
 
@@ -181,10 +181,9 @@ def one_heavy_round(data, universe: Universe, t: int, epsilon: float,
     mass (noisy check against t/4 with a fresh threshold draw), returns the
     boundary leaf between the children, and otherwise ends at a leaf.
     """
-    arr = as_elements(data)
-    if arr.size == 0:
+    sorted_data = np.sort(as_elements(data, 64))
+    if sorted_data.size == 0:
         raise ValueError("one_heavy_round requires a nonempty dataset")
-    sorted_data = np.sort(arr.astype(np.uint64, copy=False))
     light, leaf = _heavy_path(sorted_data, universe.bit_length)
     rho = sample_laplace(1.0 / epsilon, rng)
     for depth, (j0, j1) in enumerate(light):
@@ -212,9 +211,9 @@ def slice_steps(universe: Universe) -> int:
 _IPP_QUALITY = QualityFunction(evaluate=f_ipp)
 
 
-def _base_case(data, universe: Universe, epsilon: float, rng) -> int:
+def _base_case(data: np.ndarray, universe: Universe, epsilon: float, rng) -> int:
     return int(exponential_mechanism(list(range(universe.size)), _IPP_QUALITY,
-                                     as_elements(data), epsilon, rng))
+                                     data, epsilon, rng))
 
 
 def _ascending_projected_map() -> OrderMap:
@@ -257,7 +256,7 @@ def ipp(universe: Universe, data, epsilon: float, delta: float,
     remainder. With `noisy_sizes=False` every slice takes exactly its
     requested size; `enforce_regime=False` skips the size checks.
     """
-    elements = Dataset(data, universe.bit_length).elements
+    elements = as_elements(data, universe.bit_length)
     t = trim_parameter(epsilon, delta)
     required = regime_threshold(universe, epsilon, delta)
     if enforce_regime and elements.shape[0] < required:

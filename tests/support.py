@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from slicedp import (Dataset, LabeledSample, QcInstance, SimTranscript, TreeVertex,
+from slicedp import (LabeledSample, QcInstance, SimTranscript, TreeVertex,
                      Universe, embed_order_map, gamma, left_right_leaf, sample_geometric,
                      sample_laplace, sync_map, vertex_interval)
 from slicedp.engine import as_elements
@@ -90,7 +90,7 @@ def subtree_weight(sorted_data, v, universe):
 def gamma_sensitivity_check(data, x, universe):
     """1 iff adding x moves the balance statistic by at most 1."""
     base = gamma(data, universe)
-    arr = np.append(as_elements(data).astype(np.uint64, copy=False), np.uint64(x))
+    arr = np.append(as_elements(data, 64), np.uint64(x))
     return 1 if abs(gamma(arr, universe) - base) <= 1 else 0
 
 
@@ -106,7 +106,7 @@ def embedding(data, universe):
     balance statistic, and the greedy path from the root to the leaf the
     heavy-path walk reaches."""
     bits = universe.bit_length
-    arr = Dataset(data, bits).elements
+    arr = as_elements(data, bits)
     rows = embed_order_map(universe).apply(arr)
     _, leaf = _heavy_path(np.sort(arr), bits)
     path = [TreeVertex(depth, leaf >> (bits - depth)) for depth in range(bits + 1)]
@@ -307,6 +307,52 @@ def axis_order_oracle(rows, axis, reverse=False):
     return rows[order[::-1] if reverse else order]
 
 
+# The element conversion as it was before `engine.as_elements(data, bit_length)`:
+# a `Dataset` class whose callers read only `.elements`, over an unchecked
+# one-argument conversion.
+
+class _Dataset:
+    """A multiset of elements of X = [0, 2^L) as a uint64 numpy array;
+    rows of d coordinates each in X are accepted too."""
+
+    def __init__(self, elements, bit_length: int):
+        arr = _as_elements(elements)
+        if arr.dtype.kind == "f":
+            bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
+            if bad.size:
+                raise ValueError(f"element {bad[0]} is not a whole number")
+        if not (1 <= bit_length <= 64):
+            raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
+        if arr.size:
+            if arr.dtype.kind != "u" and arr.min() < 0:
+                raise ValueError(f"negative element {arr.min()} in {bit_length}-bit domain")
+            if int(arr.max()) >= (1 << bit_length):
+                raise ValueError(
+                    f"element {int(arr.max())} out of range for {bit_length}-bit domain")
+        self.elements = arr.astype(np.uint64)
+
+    def __len__(self):
+        return int(self.elements.shape[0])
+
+
+def _as_elements(data) -> np.ndarray:
+    if isinstance(data, _Dataset):
+        return data.elements
+    if isinstance(data, np.ndarray):
+        return data
+    arr = np.asarray(data)
+    if arr.dtype.kind == "f" and arr.size:
+        # numpy rounds integers that share no integer dtype through float64
+        exact = np.asarray(data, dtype=object)
+        if all(isinstance(v, (int, np.integer)) for v in exact.flat):
+            return exact.astype(np.uint64) if exact.min() >= 0 else exact
+    return arr
+
+
+def dataset_oracle(data, bit_length):
+    return _Dataset(data, bit_length).elements
+
+
 # The input loaders as they were before the numpy-backed reader: csv.reader
 # (or a line loop) and one Python int() per cell.
 
@@ -329,7 +375,7 @@ def load_dataset_oracle(path, bit_length):
                     f"{path}: line {lineno}: value {value} out of range for "
                     f"{bit_length}-bit domain (must be < {limit})")
             values.append(value)
-    return Dataset(np.asarray(values, dtype=np.uint64), bit_length)
+    return dataset_oracle(np.asarray(values, dtype=np.uint64), bit_length)
 
 
 def load_labeled_csv_oracle(path, bit_length):
@@ -448,7 +494,7 @@ class DataHolderOracle:
 def simulate_oracle(data, x, b, script, epsilon, rng, delayed=None):
     _check_epsilon(epsilon)
     holder = DataHolderOracle(b, epsilon, rng)
-    current = [int(v) for v in as_elements(data)]
+    current = [int(v) for v in dataset_oracle(data, 64)]
     x_cur = int(x)
     status = 0
     published = []

@@ -35,3 +35,9 @@ def test_exports_are_the_imported_names():
 def test_test_only_names_are_not_shipped(name):
     assert not hasattr(slicedp, name)
     assert not hasattr(importlib.import_module("slicedp.treelog"), name)
+
+
+def test_dataset_class_is_gone():
+    # callers convert data with `slicedp.engine.as_elements(data, bit_length)`
+    assert not hasattr(slicedp, "Dataset")
+    assert not hasattr(importlib.import_module("slicedp.engine"), "Dataset")

@@ -22,7 +22,7 @@ class TestLoadDataset:
         path = tmp_path / "data.txt"
         path.write_text("5\n\n5\n12\n")
         data = load_dataset(path, 8)
-        assert sorted(data.elements.tolist()) == [5, 5, 12]
+        assert sorted(data.tolist()) == [5, 5, 12]
 
     def test_error_messages_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -3,12 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from slicedp import (
-    Dataset,
     OrderMap,
     PrivacyBudget,
     RscSession,
@@ -24,49 +23,122 @@ from slicedp import (
 )
 
 from slicedp.engine import as_elements
-from support import axis_order_oracle, chi_squared_critical
+from support import axis_order_oracle, chi_squared_critical, dataset_oracle
 
 
 class TestDataset:
     def test_multiset_semantics(self):
-        d = Dataset([5, 1, 5, 3], 8)
-        assert sorted(d.elements.tolist()) == [1, 3, 5, 5]
+        d = as_elements([5, 1, 5, 3], 8)
+        assert sorted(d.tolist()) == [1, 3, 5, 5]
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            Dataset([256], 8)
+            as_elements([256], 8)
 
     def test_bit_length_bounds(self):
         with pytest.raises(ValueError):
-            Dataset([0], 0)
+            as_elements([0], 0)
         with pytest.raises(ValueError):
-            Dataset([0], 65)
-        assert Dataset([2**63], 64).elements[0] == 2**63
+            as_elements([0], 65)
+        assert as_elements([2**63], 64)[0] == 2**63
 
     def test_lists_straddling_two_to_the_63_stay_exact(self):
-        elements = Dataset([2**63 - 1, 2**63], 64).elements
+        elements = as_elements([2**63 - 1, 2**63], 64)
         assert elements.dtype == np.uint64
         assert elements.tolist() == [2**63 - 1, 2**63]
-        rows = Dataset([[1, 2**63], [2**63 - 1, 0]], 64).elements
+        rows = as_elements([[1, 2**63], [2**63 - 1, 0]], 64)
         assert rows.tolist() == [[1, 2**63], [2**63 - 1, 0]]
-        assert as_elements([2**64 - 1, 5]).tolist() == [2**64 - 1, 5]
+        assert as_elements([2**64 - 1, 5], 64).tolist() == [2**64 - 1, 5]
 
     def test_negative_elements_are_rejected_at_every_bit_length(self):
         for bits in (1, 8, 63, 64):
             for data in ([-5], [3, -1], [-1, 2**63], np.array([-2, 4])):
                 with pytest.raises(ValueError, match="negative"):
-                    Dataset(data, bits)
+                    as_elements(data, bits)
 
     @pytest.mark.parametrize("data", [[1.5, 2.9], [3.0, 0.5], [float("inf")],
                                       [float("nan")], np.array([2.0, -0.25])])
     def test_non_integer_floats_are_rejected(self, data):
         with pytest.raises(ValueError, match="whole number"):
-            Dataset(data, 8)
+            as_elements(data, 8)
 
     def test_whole_floats_load(self):
-        elements = Dataset([3.0, 4.0], 8).elements
+        elements = as_elements([3.0, 4.0], 8)
         assert elements.dtype == np.uint64
         assert elements.tolist() == [3, 4]
+
+
+_VALUES = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1, -1]),
+                    st.integers(0, 300), st.integers(0, 2**64 - 1),
+                    st.integers(-(2**63), -1))
+_DTYPES = {"list": None, "int64": np.int64, "uint64": np.uint64, "float64": np.float64,
+           "object": object}
+
+
+@st.composite
+def _element_inputs(draw):
+    """Lists or int64, uint64, float64 and object arrays, 1-D or 2-D, maybe
+    empty; lists may also hold floats."""
+    kind = draw(st.sampled_from(sorted(_DTYPES)))
+    rows, cols = draw(st.integers(0, 5)), draw(st.sampled_from([None, 1, 3]))
+    values = _VALUES
+    if kind == "list":
+        values = st.one_of(values, st.sampled_from([0.5, 3.0, -2.0, float(2**63),
+                                                    float("nan")]))
+    elif kind in ("int64", "uint64"):
+        info = np.iinfo(_DTYPES[kind])
+        values = values.filter(lambda v: info.min <= v <= info.max)
+    flat = draw(st.lists(values, min_size=rows * (cols or 1), max_size=rows * (cols or 1)))
+    data = flat if cols is None else [flat[r * cols:(r + 1) * cols] for r in range(rows)]
+    if kind != "list":
+        data = np.array(data, dtype=_DTYPES[kind])
+        if cols is not None and rows == 0:
+            data = data.reshape(0, cols)
+    return data
+
+
+def _converted(convert, data, bits):
+    try:
+        return convert(data, bits)
+    except ValueError:
+        return ValueError
+
+
+class TestElementConversion:
+    @settings(max_examples=400, deadline=None)
+    @given(_element_inputs(), st.one_of(st.just(64), st.integers(1, 64)))
+    @example([2**63 - 1, 2**63], 64)
+    @example([[5, 2**63], [2**63 - 1, 0]], 64)
+    @example(np.array([[1, 2**64 - 1]], dtype=np.uint64), 64)
+    @example(np.array([2**63 - 1, 2**63], dtype=object), 64)
+    @example([3, 0.5], 8)
+    @example(np.array([[2.0, 2.5]]), 64)
+    @example([], 1)
+    def test_matches_the_dataset_class(self, data, bits):
+        new, old = _converted(as_elements, data, bits), _converted(dataset_oracle, data, bits)
+        if old is ValueError:
+            assert new is ValueError
+            return
+        assert new is not ValueError
+        assert new.dtype == np.uint64 and new.shape == old.shape
+        np.testing.assert_array_equal(new, old)
+        if isinstance(data, np.ndarray) and data.dtype == np.uint64 and bits == 64:
+            assert new is data
+
+    def test_uint64_at_64_bits_is_returned_as_is(self):
+        data = np.array([[0, 2**64 - 1], [2**63, 5]], dtype=np.uint64)
+        assert as_elements(data, 64) is data
+        assert as_elements(data[1:, 1], 3).tolist() == [5]
+        with pytest.raises(ValueError, match="out of range"):
+            as_elements(data, 63)
+
+    @pytest.mark.parametrize("z", [0, 7, 2**64 - 1, np.uint64(3)])
+    def test_scalars_convert(self, z):
+        assert int(as_elements(z, 64)) == int(z)
+
+    def test_fractional_objects_are_rejected(self):
+        with pytest.raises(ValueError, match="whole number"):
+            as_elements(np.array([2, 1.5], dtype=object), 8)
 
 
 def _adjacent_lists(mapped_short, mapped_long):
@@ -183,6 +255,18 @@ class TestSelectAndCompute:
         expected = np.append(probs, 1.0 - probs.sum()) * draws.size
         stat, _ = stats.chisquare(observed, expected)
         assert stat < chi_squared_critical(cap)
+
+
+    @pytest.mark.parametrize("data", [[-3, 2], [1.5, 2], np.array([-3, 2]),
+                                      np.array([1.5, 2.0])])
+    def test_session_rejects_non_elements(self, data):
+        with pytest.raises(ValueError):
+            RscSession(data, tau=1, budget=PrivacyBudget(1.0), k=1)
+
+    def test_session_holds_uint64(self):
+        session = RscSession(np.array([3, 1]), tau=1, budget=PrivacyBudget(1.0), k=1)
+        assert session.remaining.dtype == np.uint64
+        assert session.remaining.tolist() == [3, 1]
 
 
 class TestDelayedCompute:

@@ -50,6 +50,11 @@ class TestHypothesis:
         assert h.predict(pts).tolist() == [1, 0, 0]
         assert Hypothesis(zero=True).predict(pts).tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("points", [[1.7], [-1], np.array([2.5])])
+    def test_predict_rejects_points_outside_the_domain(self, points):
+        with pytest.raises(ValueError):
+            Hypothesis(threshold=10).predict(points)
+
 
 class TestThresholdSizes:
     def test_documented_values(self):

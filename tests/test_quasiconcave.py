@@ -312,6 +312,11 @@ class TestHardnessReduction:
         with pytest.raises(ValueError):
             encode_hard_instance([1], (5, 5))
 
+    @pytest.mark.parametrize("data", [[1.5], [2, 3.25]])
+    def test_encoding_rejects_non_elements(self, data):
+        with pytest.raises(ValueError):
+            encode_hard_instance(data, tuple([5] * 10))
+
     def test_adjacency_carries_through_encoding(self):
         rng = np.random.default_rng(48)
         for _ in range(200):

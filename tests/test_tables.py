@@ -107,8 +107,8 @@ def test_qc_loader_matches_the_row_loop(path, text):
 @given(dataset_files())
 def test_dataset_loader_matches_the_line_loop(path, text):
     new, old = load_dataset(write(path, text), 64), load_dataset_oracle(path, 64)
-    assert new.elements.dtype == old.elements.dtype
-    np.testing.assert_array_equal(new.elements, old.elements)
+    assert new.dtype == old.dtype
+    np.testing.assert_array_equal(new, old)
 
 
 LABELED = (partial(load_labeled_csv, bit_length=8),

@@ -104,6 +104,20 @@ class TestCountQueries:
             assert np.all(np.diff(scores[: peak + 1]) >= 0)
             assert np.all(np.diff(scores[peak:]) <= 0)
 
+    @pytest.mark.parametrize("data", [[-1, 5], [1.7, 5], np.array([-1, 5])])
+    def test_negative_or_fractional_data_is_a_value_error(self, data):
+        with pytest.raises(ValueError):
+            f_ipp(data, 3)
+        with pytest.raises(ValueError):
+            gamma(data, Universe(4))
+        with pytest.raises(ValueError):
+            one_heavy_round(data, Universe(4), 4, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("z", [-1, 2.5, 2**64, np.int64(-3)])
+    def test_bad_query_point_is_a_value_error(self, z):
+        with pytest.raises(ValueError):
+            f_ipp([1, 5, 9], z)
+
     def test_subtree_weight_root_and_leaf(self):
         u = Universe(6)
         data = np.sort(np.array([3, 3, 3, 17, 40], dtype=np.uint64))
