@@ -438,13 +438,14 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    parsed = {key: value for key, value in vars(args).items() if key != "command"}
     try:
         _check_common(args)
         parameters, payload, success = _HANDLERS[args.command](args)
     except Exception as exc:
         if not isinstance(exc, (ValueError, OSError)):
             traceback.print_exc()  # a fault of the program, not of its input
-        parameters, payload, success = {"seed": args.seed}, {"error": str(exc)}, False
+        parameters, payload, success = parsed, {"error": str(exc)}, False
         if isinstance(exc, RegimeError):
             payload["required"] = exc.required
             payload["provided"] = exc.provided
@@ -453,7 +454,7 @@ def main(argv=None) -> int:
         _emit(_record(args, parameters, payload, success, started), args.output)
     except OSError as exc:
         payload = {"error": f"cannot write the record to {args.output}: {exc.strerror or exc}"}
-        _emit(_record(args, {"seed": args.seed}, payload, False, started), None)
+        _emit(_record(args, parsed, payload, False, started), None)
         return 1
     return 0 if success else 1
 

@@ -8,7 +8,7 @@ slices; `privacy_cost` reports the explicit conservative bound.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,10 +55,23 @@ class OrderMap:
     maps are permutations of their input; the embedding map relabels, and
     audit maps may drop elements, so permutation is a property of specific
     maps, not of the type.
+
+    `split(a, k)` returns the first k outputs and the rest. A map may supply
+    `select(a, k)` to find the slice without ordering the whole input; it is
+    called only for 0 < k < len(a), and its slice must equal `apply(a)[:k]`.
+    The rest is in no particular order, so a reader must sort it or only
+    count it.
     """
 
     name: str
     apply: Callable[[np.ndarray], np.ndarray]
+    select: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]]] = None
+
+    def split(self, a: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        if self.select is not None and 0 < k < len(a):
+            return self.select(a, k)
+        ordered = self.apply(a)
+        return ordered[:k], ordered[k:]
 
 
 def ascending_map() -> OrderMap:
@@ -97,15 +110,33 @@ def axis_map(axis: int, reverse: bool = False) -> OrderMap:
     """Order rows by coordinate `axis`, ties by the remaining coordinates.
 
     Gives the per-axis total order the rectangle learner slices under.
+    `select` partitions coordinate `axis` around the k-th row, orders only
+    the rows on the near side of that pivot, and gathers the rest with one
+    mask, unordered.
     """
 
+    def ascending(a: np.ndarray) -> np.ndarray:
+        return _row_order(a, [axis] + [i for i in range(a.shape[1]) if i != axis])
+
     def apply(a: np.ndarray) -> np.ndarray:
-        order = _row_order(a, [axis] + [i for i in range(a.shape[1]) if i != axis])
+        order = ascending(a)
         if reverse:
             order = order[::-1]
         return a[order]
 
-    return OrderMap(f"axis{axis}{'-desc' if reverse else '-asc'}", apply)
+    def select(a: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        # every row among the first k lies on the near side of the pivot
+        coord = a[:, axis]
+        at = len(a) - k if reverse else k - 1
+        pivot = np.partition(coord, at)[at]
+        near = np.flatnonzero(coord >= pivot if reverse else coord <= pivot)
+        near = near[ascending(a[near])]
+        taken = near[::-1][:k] if reverse else near[:k]
+        rest = np.ones(len(a), dtype=bool)
+        rest[taken] = False
+        return a[taken], np.compress(rest, a, axis=0)
+
+    return OrderMap(f"axis{axis}{'-desc' if reverse else '-asc'}", apply, select)
 
 
 @dataclass(frozen=True)
@@ -126,6 +157,9 @@ class SliceComputation:
 
 
 class RscSession:
+    """A session's state: `remaining` holds the rows no step has sliced yet,
+    in no particular order, so every reader must sort it or only count it."""
+
     def __init__(self, data, tau: int, budget: PrivacyBudget, k: int = 1,
                  noisy_sizes: bool = True):
         if tau < 1:
@@ -150,17 +184,17 @@ def select_and_compute(session: RscSession, spec: SliceComputation,
 
     m_hat = m + Geom(1 - e^-eps) (or m exactly for deterministic-size
     sessions). When m_hat exceeds the remaining data, the slice takes
-    everything; the regime checks of the callers keep this rare.
+    everything; the regime checks of the callers keep this rare. The slice
+    is the first m_hat rows of `spec.map`'s order; the new remainder is the
+    map's `split` rest, in no particular order.
     """
     if session.step >= session.tau:
         raise RuntimeError(f"session exhausted: all {session.tau} steps used")
     m_hat = spec.m
     if session.noisy_sizes:
         m_hat += sample_geometric(session.budget.epsilon, rng)
-    ordered = spec.map.apply(session.remaining)
-    take = min(m_hat, ordered.shape[0])
-    slice_part = ordered[:take]
-    session.remaining = ordered[take:]
+    slice_part, session.remaining = spec.map.split(
+        session.remaining, min(m_hat, len(session.remaining)))
     session.stored_slices[session.step] = slice_part
     session.delayed_used[session.step] = 0
     session.step += 1

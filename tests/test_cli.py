@@ -87,9 +87,24 @@ class TestRecordShape:
         assert rc == 1
         record = json.loads(capsys.readouterr().out)
         assert record["command"] == argv[0] and record["success"] is False
-        assert record["parameters"] == {"seed": 1}
+        parameters = {
+            "account": {"epsilon": 0.1, "tau": 2, "k": 1, "delta_hat": 1e-6,
+                        "applications": 1},
+            "sweep": {"epsilon": 1.0, "trials": 100, "bits_list": [8]}}[argv[0]]
+        assert record["parameters"] == {"seed": 1, "delta": 1e-3, "output": str(target),
+                                        **parameters}
         assert record["payload"] == {
             "error": f"cannot write the record to {target}: No such file or directory"}
+
+    def test_failure_record_echoes_the_parsed_parameters(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        rc, record = run(tmp_path, "err.json",
+                         ["learn-rect", "--seed", "4", "--input", str(missing),
+                          "--bits", "8", "--delta", "0.5"])
+        assert rc == 1 and record["success"] is False
+        assert record["parameters"] == {
+            "seed": 4, "epsilon": 1.0, "delta": 0.5, "input": str(missing),
+            "output": str(tmp_path / "err.json"), "bits": 8, "dims": None}
 
     def test_any_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
         def broken(*args):
@@ -138,7 +153,9 @@ def test_common_parameter_violation(tmp_path, flag, value, command, message):
     seed = int(value) if flag == "--seed" else 1
     assert rc == 1
     assert record["command"] == command and record["success"] is False
-    assert record["parameters"] == {"seed": seed}
+    parsed = float(value) if flag in ("--epsilon", "--delta") else int(value)
+    assert record["parameters"][flag[2:]] == parsed
+    assert record["parameters"]["seed"] == seed and "command" not in record["parameters"]
     assert record["payload"] == {"error": message}
 
 

@@ -170,7 +170,7 @@ class TestOrderMaps:
         assert desc[:, 1].tolist() == [9, 5, 2]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
         st.just(d), st.integers(0, d - 1), st.integers(0, 40),
         st.sampled_from([(np.uint64, 0, 3), (np.uint64, 0, (1 << 16) - 1),
                          (np.uint64, 0, (1 << 64) - 1), (np.int64, -3, 3),
@@ -180,9 +180,17 @@ class TestOrderMaps:
         d, axis, n, (dtype, lo, hi) = shape
         rows = np.random.default_rng(seed).integers(lo, hi, size=(n, d), endpoint=True,
                                                     dtype=dtype)
-        out = axis_map(axis, reverse).apply(rows)
+        order = axis_map(axis, reverse)
+        out = order.apply(rows)
         assert out.dtype == rows.dtype
         assert out.tolist() == axis_order_oracle(rows, axis, reverse).tolist()
+        # the selection fast path: the slice in order, the rest as a multiset
+        for k in range(n + 1):
+            head, rest = order.split(rows, k)
+            assert head.dtype == rest.dtype == rows.dtype
+            assert head.shape == (k, d) and rest.shape == (n - k, d)
+            assert head.tolist() == out[:k].tolist()
+            assert Counter(map(tuple, rest.tolist())) == Counter(map(tuple, out[k:].tolist()))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=30),
