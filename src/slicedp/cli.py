@@ -10,9 +10,12 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
+import os
 import sys
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -218,9 +221,28 @@ def _cmd_audit_sync(args: argparse.Namespace):
 def _audit_instance(size: int):
     # adversarial instance: the diff element x = 0 sorts first under the
     # ascending order, so every round involves it until the holder syncs
-    data = list(range(1, size + 1))
+    data = np.arange(1, size + 1, dtype=np.uint64)
     algorithm = lambda s: int(s.min()) if len(s) else -1
     return data, 0, algorithm
+
+
+def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range):
+    """Holder-call counts and the simulated and direct outputs of `trials`;
+    each trial reads only its own streams, so any split of a range gives
+    the same results in the same order."""
+    data, x, algorithm = _audit_instance(size)
+    script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(tau)]
+    counts = np.empty(len(trials), dtype=np.int64)
+    sim_outputs = []
+    direct_outputs = []
+    for i, trial in enumerate(trials):
+        transcript = simulate(data, x, 1, script, epsilon, _trial_rng(seed, 2, trial))
+        counts[i] = transcript.holder_calls
+        sim_outputs.append(tuple(
+            simulate(data, x, 0, script, epsilon, _trial_rng(seed, 0, trial)).published))
+        direct_outputs.append(tuple(
+            direct_run(data, script, epsilon, _trial_rng(seed, 1, trial))))
+    return counts, sim_outputs, direct_outputs
 
 
 def _cmd_audit_sim(args: argparse.Namespace):
@@ -229,21 +251,24 @@ def _cmd_audit_sim(args: argparse.Namespace):
     if args.size < 0:
         raise ValueError(f"size must be nonnegative, got {args.size}")
     epsilon = args.epsilon
-    data, x, algorithm = _audit_instance(args.size)
-    script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(args.tau)]
-
-    counts = np.empty(args.trials, dtype=np.int64)
-    sim_outputs = []
-    direct_outputs = []
-    for trial in range(args.trials):
-        transcript = simulate(data, x, 1, script, epsilon,
-                              _trial_rng(args.seed, 2, trial))
-        counts[trial] = transcript.holder_calls
-        sim_outputs.append(tuple(
-            simulate(data, x, 0, script, epsilon,
-                     _trial_rng(args.seed, 0, trial)).published))
-        direct_outputs.append(tuple(
-            direct_run(data, script, epsilon, _trial_rng(args.seed, 1, trial))))
+    # one contiguous part of the trials per CPU: the parent runs part 0 and
+    # forked workers the rest (a spawned worker would import numpy and
+    # slicedp again on every run)
+    workers = min(len(os.sched_getaffinity(0)), args.trials)
+    bounds = [args.trials * w // workers for w in range(workers + 1)]
+    parts = [(args.seed, epsilon, args.tau, args.size, range(lo, hi))
+             for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        results = [_audit_trials(*parts[0])]
+    else:
+        with ProcessPoolExecutor(workers - 1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_audit_trials, *part) for part in parts[1:]]
+            results = [_audit_trials(*parts[0])] + [f.result() for f in futures]
+    part_counts, part_sims, part_directs = zip(*results)
+    counts = np.concatenate(part_counts)
+    sim_outputs = [out for part in part_sims for out in part]
+    direct_outputs = [out for part in part_directs for out in part]
 
     tv = estimate_tv(sim_outputs, direct_outputs)
     audit = AuditResult.from_counts(counts)

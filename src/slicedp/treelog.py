@@ -99,6 +99,15 @@ def f_ipp(data, z) -> int:
     return min(le, ge)
 
 
+def _sorted_ipp_score(sorted_data: np.ndarray, z) -> int:
+    # f_ipp on data the caller has already sorted and checked, so a mechanism
+    # scoring many candidates sorts once; f_ipp is its test oracle
+    key = np.uint64(z)
+    le = int(np.searchsorted(sorted_data, key, side="right"))
+    ge = sorted_data.size - int(np.searchsorted(sorted_data, key, side="left"))
+    return min(le, ge)
+
+
 def vertex_interval(v: TreeVertex, universe: Universe) -> Tuple[int, int]:
     """Half-open leaf interval [lo, hi) spanned by the subtree."""
     if v.depth > universe.bit_length:
@@ -208,12 +217,13 @@ def slice_steps(universe: Universe) -> int:
     return 3 * levels
 
 
-_IPP_QUALITY = QualityFunction(evaluate=f_ipp)
+# scores sorted data: callers pass np.sort of their slice
+_IPP_QUALITY = QualityFunction(evaluate=_sorted_ipp_score)
 
 
 def _base_case(data: np.ndarray, universe: Universe, epsilon: float, rng) -> int:
     return int(exponential_mechanism(list(range(universe.size)), _IPP_QUALITY,
-                                     data, epsilon, rng))
+                                     np.sort(data), epsilon, rng))
 
 
 def _ascending_projected_map() -> OrderMap:
@@ -299,8 +309,8 @@ def ipp(universe: Universe, data, epsilon: float, delta: float,
                                       fallback=TreeVertex(depth, 0))
 
         candidates = _candidate_leaves(delayed_compute(session, embed_step, choose), level)
-        border = np.concatenate([delayed_compute(session, low_step, lambda s: s),
-                                 delayed_compute(session, high_step, lambda s: s)])
+        border = np.sort(np.concatenate([delayed_compute(session, low_step, lambda s: s),
+                                         delayed_compute(session, high_step, lambda s: s)]))
         return int(exponential_mechanism(candidates, _IPP_QUALITY, border, epsilon, rng))
 
     return recurse(universe)

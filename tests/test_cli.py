@@ -1,8 +1,12 @@
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedp import cli
 from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
@@ -422,6 +426,68 @@ class TestAuditCommands:
                                                 "--trials", "3", "--size", "0"])
         assert rc == 0
         assert record["parameters"]["size"] == 0
+
+
+# the benchmark's (tau, size, trials) audit configurations, trials scaled down
+AUDIT_CONFIGS = [(2, 8, 200), (8, 32, 100), (16, 64, 50)]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestParallelAuditTrials:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda total: st.tuples(
+        st.just(total), st.lists(st.integers(0, total), max_size=4))),
+        st.integers(1, 3), st.integers(0, 5))
+    def test_any_split_gives_the_whole_range(self, total_and_cuts, tau, size):
+        total, cuts = total_and_cuts
+        bounds = [0, *sorted(cuts), total]
+        whole = cli._audit_trials(9, 0.5, tau, size, range(total))
+        parts = [cli._audit_trials(9, 0.5, tau, size, range(lo, hi))
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(whole[0], np.concatenate([p[0] for p in parts]))
+        assert whole[0].dtype == np.int64
+        assert whole[1] == [out for p in parts for out in p[1]]
+        assert whole[2] == [out for p in parts for out in p[2]]
+
+    @pytest.mark.parametrize("tau,size,trials", AUDIT_CONFIGS)
+    def test_record_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch,
+                                                     tau, size, trials):
+        argv = ["audit-sim", "--seed", "13", "--epsilon", "0.5", "--tau", str(tau),
+                "--size", str(size), "--trials", str(trials)]
+        records = []
+        for cpus in (1, 3):
+            _cpus(monkeypatch, cpus)
+            rc, record = run(tmp_path, f"sim{cpus}.json", argv)
+            assert rc == 0
+            records.append((record["parameters"], record["payload"]))
+        assert records[0] == records[1]
+
+    def test_workers_are_joined_before_main_returns(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 3)
+        rc, record = run(tmp_path, "sim.json", ["audit-sim", "--seed", "5",
+                                                "--trials", "30"])
+        assert rc == 0 and sum(h["frequency"] for h in record["payload"]["histogram"]) == 30
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
+        parent, original = os.getpid(), cli.simulate
+
+        def broken_in_workers(*args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("worker failed")
+            return original(*args)
+
+        monkeypatch.setattr(cli, "simulate", broken_in_workers)
+        _cpus(monkeypatch, 3)
+        rc, record = run(tmp_path, "err.json", ["audit-sim", "--seed", "5",
+                                                "--trials", "30"])
+        assert rc == 1 and record["success"] is False
+        assert record["payload"] == {"error": "worker failed"}
+        assert "ZeroDivisionError" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepCommand:

@@ -24,7 +24,8 @@ from slicedp import (
     trim_parameter,
     vertex_interval,
 )
-from slicedp.treelog import _candidate_leaves
+from slicedp.mechanisms import QualityFunction
+from slicedp.treelog import _candidate_leaves, _sorted_ipp_score
 from support import (clustered_instance, embed_oracle, embedding, gamma_sensitivity_check,
                      insertion_relabel_check, one_heavy_round_oracle, subtree_weight)
 
@@ -117,6 +118,15 @@ class TestCountQueries:
     def test_bad_query_point_is_a_value_error(self, z):
         with pytest.raises(ValueError):
             f_ipp([1, 5, 9], z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 20), st.integers(0, 2**64 - 1),
+                              st.sampled_from([2**63 - 1, 2**63, 2**64 - 1])), max_size=40),
+           st.one_of(st.integers(0, 21), st.integers(0, 2**64 - 1),
+                     st.sampled_from([2**63 - 1, 2**63, 2**64 - 1])))
+    def test_sorted_score_matches_f_ipp(self, values, z):
+        data = np.array(values, dtype=np.uint64)
+        assert _sorted_ipp_score(np.sort(data), z) == f_ipp(data, z)
 
     def test_subtree_weight_root_and_leaf(self):
         u = Universe(6)
@@ -396,3 +406,39 @@ class TestInteriorPoint:
         session = sessions[0]
         assert session.step == slice_steps(Universe(16)) == 6
         assert reads == {step: 1 for step in range(session.step)}
+
+    @pytest.mark.parametrize("bits,shape", [(3, "uniform"), (8, "all-equal"),
+                                            (16, "all-equal"), (16, "clustered"),
+                                            (64, "all-equal")])
+    def test_sorting_once_keeps_every_draw(self, monkeypatch, bits, shape):
+        # the exponential mechanism scoring through f_ipp, which sorts its
+        # data on every call, is the oracle of the sort-once scorer
+        module = importlib.import_module("slicedp.treelog")
+        u = Universe(bits)
+        data_rng = np.random.default_rng(bits)
+        if shape == "uniform":
+            data = [int(v) for v in data_rng.integers(0, u.size, size=40)]
+        elif shape == "all-equal":
+            data = [u.size // 3] * 1000
+        else:
+            data = clustered_instance(data_rng, 1000, bits, outliers=30)
+        original, scored = module.exponential_mechanism, []
+
+        def spy(candidates, q, dataset, epsilon, rng):
+            scored.append(len(candidates))
+            assert np.all(dataset[:-1] <= dataset[1:])
+            return original(candidates, q, dataset, epsilon, rng)
+
+        monkeypatch.setattr(module, "exponential_mechanism", spy)
+        for seed in range(4):
+            fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = ipp(u, data, 1.0, 0.5, fast_rng, enforce_regime=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_IPP_QUALITY", QualityFunction(evaluate=f_ipp))
+                oracle = ipp(u, data, 1.0, 0.5, oracle_rng, enforce_regime=False)
+            assert fast == oracle
+            assert fast_rng.random() == oracle_rng.random()
+        # both users of the scorer ran on sorted data: the base case scores
+        # every leaf of its 3-bit domain or less, the border mechanism at
+        # most 3 leaves
+        assert max(scored) >= 2 and (bits == 3 or min(scored) <= 3)
