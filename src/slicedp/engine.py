@@ -20,8 +20,10 @@ def as_elements(data, bit_length: int) -> np.ndarray:
     rows of d coordinates each in X are accepted too.
 
     Raises ValueError on a bit length outside [1, 64] and on a negative,
-    non-integer or out-of-range element. A uint64 array at bit length 64
-    is returned as it is, since every value it can hold lies in X.
+    non-integer or out-of-range element. A uint64 array that passes the
+    checks is returned without a copy, so the result may be the caller's
+    array: no reader may write into it. At bit length 64 a uint64 array
+    skips the checks too, since every value it can hold lies in X.
     """
     if not (1 <= bit_length <= 64):
         raise ValueError(f"bit_length must lie in [1, 64], got {bit_length}")
@@ -44,7 +46,7 @@ def as_elements(data, bit_length: int) -> np.ndarray:
         if int(arr.max()) >= (1 << bit_length):
             raise ValueError(
                 f"element {int(arr.max())} out of range for {bit_length}-bit domain")
-    return arr.astype(np.uint64)
+    return arr.astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,27 @@ class OrderMap:
         return ordered[:k], ordered[k:]
 
 
+def select_sorted(a: np.ndarray, k: int, descending: bool = False
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The k smallest (or largest) values of a 1-D array in order, and the
+    rest unordered, for 0 < k < len(a): one partition, then a sort of the k
+    values taken only."""
+    at = len(a) - k if descending else k - 1
+    parted = np.partition(a, at)
+    if descending:
+        return np.sort(parted[at:])[::-1], parted[:at]
+    return np.sort(parted[:k]), parted[k:]
+
+
 def ascending_map() -> OrderMap:
     return OrderMap("ascending", lambda a: np.sort(a, kind="stable"))
 
 
 def descending_map() -> OrderMap:
-    return OrderMap("descending", lambda a: np.sort(a, kind="stable")[::-1])
+    """Largest first, on 1-D arrays; `select` partitions once and sorts only
+    the slice, so the rest comes back unordered."""
+    return OrderMap("descending", lambda a: np.sort(a, kind="stable")[::-1],
+                    lambda a, k: select_sorted(a, k, descending=True))
 
 
 def _row_order(a: np.ndarray, priority) -> np.ndarray:

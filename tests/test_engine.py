@@ -8,22 +8,35 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from slicedp import (
+    LabeledSample,
     OrderMap,
     PrivacyBudget,
+    QcInstance,
     RscSession,
     SliceComputation,
+    Universe,
     ascending_map,
     axis_map,
+    cumulative_ipp,
+    cumulative_regime_threshold,
     delayed_compute,
     descending_map,
+    embed_order_map,
+    gamma,
     geometric_pmf,
     holder_call_cap,
+    ipp,
+    learn_rectangles,
+    learn_threshold_realizable,
+    one_heavy_round,
     privacy_cost,
+    qc_optimize,
     select_and_compute,
 )
 
 from slicedp.engine import as_elements
-from support import axis_order_oracle, chi_squared_critical, dataset_oracle
+from slicedp.treelog import _ascending_projected_map
+from support import axis_order_oracle, chi_squared_critical, dataset_oracle, planted_box
 
 
 class TestDataset:
@@ -122,13 +135,14 @@ class TestElementConversion:
         assert new is not ValueError
         assert new.dtype == np.uint64 and new.shape == old.shape
         np.testing.assert_array_equal(new, old)
-        if isinstance(data, np.ndarray) and data.dtype == np.uint64 and bits == 64:
+        if isinstance(data, np.ndarray) and data.dtype == np.uint64:
             assert new is data
 
     def test_uint64_at_64_bits_is_returned_as_is(self):
         data = np.array([[0, 2**64 - 1], [2**63, 5]], dtype=np.uint64)
         assert as_elements(data, 64) is data
         assert as_elements(data[1:, 1], 3).tolist() == [5]
+        assert as_elements(data[1:, 1], 3).base is data
         with pytest.raises(ValueError, match="out of range"):
             as_elements(data, 63)
 
@@ -139,6 +153,82 @@ class TestElementConversion:
     def test_fractional_objects_are_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             as_elements(np.array([2, 1.5], dtype=object), 8)
+
+
+def _draw_bits(rng, bits, size):
+    return rng.integers(0, (1 << bits) - 1, size=size, endpoint=True, dtype=np.uint64)
+
+
+def _read_only(values, dtype=np.uint64):
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+class TestCallerArrays:
+    """A checked uint64 array reaches the algorithms without a copy at every
+    bit length, so no public entry point may write into it: each gets a
+    read-only array, which raises on a write, and must leave it unchanged."""
+
+    @staticmethod
+    def _unchanged(arr, call):
+        before = arr.copy()
+        call()
+        np.testing.assert_array_equal(arr, before)
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    def test_interior_point(self, bits):
+        u = Universe(bits)
+        rng = np.random.default_rng(bits)
+        data = _read_only(np.concatenate([np.full(1000, u.size // 3, dtype=np.uint64),
+                                          _draw_bits(rng, bits, 300)]))
+        self._unchanged(data, lambda: ipp(u, data, 1.0, 0.5, rng, enforce_regime=False))
+        self._unchanged(data, lambda: gamma(data, u))
+        self._unchanged(data, lambda: one_heavy_round(data, u, 70, 1.0, rng))
+
+    def test_cumulative_interior_point_and_optimizer(self):
+        u, epsilon, delta, c = Universe(4), 8.0, 0.5, 1
+        n = cumulative_regime_threshold(u, epsilon, delta, c)
+        rng = np.random.default_rng(3)
+        data = _read_only(np.full(n, 11))
+        self._unchanged(data, lambda: cumulative_ipp(u, data, epsilon, delta, rng, c))
+        ys = np.arange(u.size)
+        scores = _read_only(np.maximum(4 * n - math.ceil(4 * n / 5) * np.abs(ys - 5), 0),
+                            np.int64)
+        out = []
+        self._unchanged(scores, lambda: out.append(
+            qc_optimize(QcInstance(scores), epsilon, delta, rng, c)))
+        assert out[0].branch == "interior"
+
+    def test_learners(self):
+        u, rng = Universe(8), np.random.default_rng(4)
+        points, labels, _ = planted_box(rng, 13000, 500, 2, 8)
+        points, labels = _read_only(points), _read_only(labels, np.int64)
+        hypotheses = []
+        self._unchanged(points, lambda: hypotheses.append(learn_rectangles(
+            LabeledSample(points, labels, u), 1.0, 0.5, rng)))
+        assert hypotheses[0].rectangle is not None
+        line = _read_only(np.concatenate([np.arange(0, 100), np.arange(150, 256)]))
+        sides = _read_only((line < 100).astype(np.int64), np.int64)
+        self._unchanged(line, lambda: learn_threshold_realizable(
+            LabeledSample(line, sides, u), 0.1, 0.1, 1.0, 0.5, rng))
+
+    @pytest.mark.parametrize("order", [ascending_map(), descending_map(), axis_map(0),
+                                       axis_map(1, reverse=True),
+                                       embed_order_map(Universe(16)),
+                                       _ascending_projected_map()], ids=lambda o: o.name)
+    def test_select_and_compute_under_each_map(self, order):
+        rng = np.random.default_rng(5)
+        data = _read_only(_draw_bits(rng, 16, (200, 2) if order.name.startswith("axis")
+                                    else 200))
+
+        def run():
+            session = RscSession(data, tau=4, budget=PrivacyBudget(1.0, 1e-6))
+            for _ in range(4):
+                select_and_compute(session, SliceComputation(20, len, order), rng)
+            delayed_compute(session, 0, len)
+
+        self._unchanged(data, run)
 
 
 def _adjacent_lists(mapped_short, mapped_long):
@@ -191,6 +281,30 @@ class TestOrderMaps:
             assert head.shape == (k, d) and rest.shape == (n - k, d)
             assert head.tolist() == out[:k].tolist()
             assert Counter(map(tuple, rest.tolist())) == Counter(map(tuple, out[k:].tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["descending", "projected", "projected-rows"]),
+           st.one_of(st.integers(0, 40), st.integers(100, 400)),
+           st.sampled_from([(0, 3), (0, (1 << 64) - 1), ((1 << 63) - 2, (1 << 63) + 2)]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_trim_selects_match_a_full_sort(self, kind, n, bounds, seed):
+        # ipp's two trim maps: values tie heavily or straddle 2^63, and the
+        # projected map also takes embedded (label, element) rows; numpy
+        # partitions short arrays by sorting them, so some inputs are long
+        rng = np.random.default_rng(seed)
+        a = rng.integers(*bounds, size=n, endpoint=True, dtype=np.uint64)
+        if kind == "projected-rows":
+            labels = rng.integers(1, 64, size=n, endpoint=True, dtype=np.uint64)
+            a = np.column_stack((labels, a))
+        order = descending_map() if kind == "descending" else _ascending_projected_map()
+        assert order.select is not None
+        out = order.apply(a)
+        for k in range(n + 1):
+            head, rest = order.split(a, k)
+            assert head.dtype == rest.dtype == out.dtype == np.uint64
+            assert head.shape == (k,) and rest.shape == (n - k,)
+            np.testing.assert_array_equal(head, out[:k])
+            np.testing.assert_array_equal(np.sort(rest), np.sort(out[k:]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=30),

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicedp import (
+    OrderMap,
     RegimeError,
     TreeVertex,
     Universe,
+    build_increment_dataset,
     embed_order_map,
     f_ipp,
     gamma,
@@ -330,6 +332,28 @@ class TestOneHeavyRound:
             one_heavy_round([], Universe(4), 10, 1.0, np.random.default_rng(0))
 
 
+
+_IPP_SHAPES = [(3, "uniform"), (8, "all-equal"), (16, "all-equal"), (16, "clustered"),
+               (64, "all-equal")]
+
+
+def _ipp_instance(bits: int, shape: str):
+    data_rng = np.random.default_rng(bits)
+    u = Universe(bits)
+    if shape == "uniform":
+        return [int(v) for v in data_rng.integers(0, u.size, size=40)]
+    if shape == "all-equal":
+        return [u.size // 3] * 1000
+    if shape == "clustered":
+        return clustered_instance(data_rng, 1000, bits, outliers=30)
+    # qc_optimize's solver input on a tent over 2^12 points rising to 4n: the
+    # increments of its top n = 3,000, about 8 copies of each point below
+    # the peak
+    n, ys = 3000, np.arange(1 << 12)
+    tent = np.minimum(4 * n * ys // 1500, 4 * n * (ys.size - 1 - ys) // (ys.size - 1 - 1500))
+    return build_increment_dataset(np.maximum(tent - 3 * n, 0), n)
+
+
 class TestInteriorPoint:
     def test_tiny_domain_matches_exponential_weights(self):
         u = Universe(3)
@@ -407,21 +431,13 @@ class TestInteriorPoint:
         assert session.step == slice_steps(Universe(16)) == 6
         assert reads == {step: 1 for step in range(session.step)}
 
-    @pytest.mark.parametrize("bits,shape", [(3, "uniform"), (8, "all-equal"),
-                                            (16, "all-equal"), (16, "clustered"),
-                                            (64, "all-equal")])
+    @pytest.mark.parametrize("bits,shape", _IPP_SHAPES)
     def test_sorting_once_keeps_every_draw(self, monkeypatch, bits, shape):
         # the exponential mechanism scoring through f_ipp, which sorts its
         # data on every call, is the oracle of the sort-once scorer
         module = importlib.import_module("slicedp.treelog")
         u = Universe(bits)
-        data_rng = np.random.default_rng(bits)
-        if shape == "uniform":
-            data = [int(v) for v in data_rng.integers(0, u.size, size=40)]
-        elif shape == "all-equal":
-            data = [u.size // 3] * 1000
-        else:
-            data = clustered_instance(data_rng, 1000, bits, outliers=30)
+        data = _ipp_instance(bits, shape)
         original, scored = module.exponential_mechanism, []
 
         def spy(candidates, q, dataset, epsilon, rng):
@@ -442,3 +458,22 @@ class TestInteriorPoint:
         # every leaf of its 3-bit domain or less, the border mechanism at
         # most 3 leaves
         assert max(scored) >= 2 and (bits == 3 or min(scored) <= 3)
+
+    @pytest.mark.parametrize("bits,shape", _IPP_SHAPES + [(16, "tent"), (64, "tent")])
+    def test_trim_selection_keeps_every_draw(self, monkeypatch, bits, shape):
+        # ipp with both trim maps stripped of `select`, so every trim slice
+        # and remainder comes from a full sort, is the oracle of the
+        # partitioning trims and the one sort per level
+        module = importlib.import_module("slicedp.treelog")
+        u = Universe(bits)
+        data = _ipp_instance(bits, shape)
+        for seed in range(4):
+            fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = ipp(u, data, 1.0, 0.5, fast_rng, enforce_regime=False)
+            with monkeypatch.context() as patch:
+                for name in ("descending_map", "_ascending_projected_map"):
+                    order = getattr(module, name)()
+                    patch.setattr(module, name, lambda o=order: OrderMap(o.name, o.apply))
+                oracle = ipp(u, data, 1.0, 0.5, oracle_rng, enforce_regime=False)
+            assert fast == oracle
+            assert fast_rng.random() == oracle_rng.random()
