@@ -63,6 +63,11 @@ class OrderMap:
     called only for 0 < k < len(a), and its slice must equal `apply(a)[:k]`.
     The rest is in no particular order, so a reader must sort it or only
     count it.
+
+    `select` may permute `a` in place: it returns the slice as a fresh array
+    and the rest as a view of `a`, so the caller must own `a`, and nothing
+    may hold a view of it that expects its old order. `apply` leaves `a` as
+    it is; its rest is a view of the fresh array it returns.
     """
 
     name: str
@@ -80,12 +85,16 @@ def select_sorted(a: np.ndarray, k: int, descending: bool = False
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """The k smallest (or largest) values of a 1-D array in order, and the
     rest unordered, for 0 < k < len(a): one partition, then a sort of the k
-    values taken only."""
+    values taken only.
+
+    Partitions `a` in place, which saves the copy `np.partition` makes: the
+    slice is a fresh array and the rest a view of `a`.
+    """
     at = len(a) - k if descending else k - 1
-    parted = np.partition(a, at)
+    a.partition(at)
     if descending:
-        return np.sort(parted[at:])[::-1], parted[:at]
-    return np.sort(parted[:k]), parted[k:]
+        return np.sort(a[at:])[::-1], a[:at]
+    return np.sort(a[:k]), a[k:]
 
 
 def ascending_map() -> OrderMap:
@@ -100,11 +109,16 @@ def descending_map() -> OrderMap:
 
 
 def _row_order(a: np.ndarray, priority) -> np.ndarray:
-    """Stable argsort of rows by the columns in `priority`, first one primary.
+    """Argsort of rows by the columns in `priority`, first one primary.
 
     Nonnegative integer columns are packed, by their bit widths, into as few
-    uint64 keys as fit; equal packed keys mean equal rows, so the order is
-    the one a lexsort with one key per column gives.
+    uint64 keys as fit; equal packed keys mean equal rows. The sort is
+    numpy's default, unstable kind where ties cannot change a row: when one
+    key holds every column, or when the first key has no ties. Otherwise a
+    lexsort with one key per packed key orders the rows. Either way the rows
+    come out as a lexsort with one key per column orders them; only the
+    order among identical rows may differ, and with it which of them an
+    index names.
     """
     cols = [a[:, i] for i in priority]
     if a.dtype.kind in "ui" and a.size and int(a.min()) >= 0:
@@ -118,18 +132,23 @@ def _row_order(a: np.ndarray, priority) -> np.ndarray:
                 keys[-1] = (keys[-1] << np.uint64(width)) | col.astype(np.uint64)
                 used += width
         cols = keys
-    if len(cols) == 1:
-        return np.argsort(cols[0], kind="stable")
-    return np.lexsort(tuple(reversed(cols)))
+    order = np.argsort(cols[0])
+    if len(cols) > 1:
+        first = cols[0][order]
+        if (first[1:] == first[:-1]).any():
+            return np.lexsort(tuple(reversed(cols)))
+    return order
 
 
 def axis_map(axis: int, reverse: bool = False) -> OrderMap:
     """Order rows by coordinate `axis`, ties by the remaining coordinates.
 
     Gives the per-axis total order the rectangle learner slices under.
-    `select` partitions coordinate `axis` around the k-th row, orders only
-    the rows on the near side of that pivot, and gathers the rest with one
-    mask, unordered.
+    `select` partitions coordinate `axis` around the k-th row and orders
+    only the rows on the near side of that pivot. It then moves the rows of
+    `a`'s last k slots that were not taken into the taken rows' slots, and
+    the taken rows into the last k, in O(k·d): `a[:n-k]` is the rest,
+    unordered.
     """
 
     def ascending(a: np.ndarray) -> np.ndarray:
@@ -147,11 +166,18 @@ def axis_map(axis: int, reverse: bool = False) -> OrderMap:
         at = len(a) - k if reverse else k - 1
         pivot = np.partition(coord, at)[at]
         near = np.flatnonzero(coord >= pivot if reverse else coord <= pivot)
-        near = near[ascending(a[near])]
-        taken = near[::-1][:k] if reverse else near[:k]
-        rest = np.ones(len(a), dtype=bool)
-        rest[taken] = False
-        return a[taken], np.compress(rest, a, axis=0)
+        rows = a[near]
+        order = ascending(rows)
+        order = order[::-1][:k] if reverse else order[:k]
+        head, taken = rows[order], near[order]
+        # the untaken rows of the last k slots fill the taken rows' slots
+        cut = len(a) - k
+        hole = taken < cut
+        kept = np.ones(k, dtype=bool)
+        kept[taken[~hole] - cut] = False
+        a[taken[hole]] = a[cut + np.flatnonzero(kept)]
+        a[cut:] = head
+        return head, a[:cut]
 
     return OrderMap(f"axis{axis}{'-desc' if reverse else '-asc'}", apply, select)
 
@@ -175,7 +201,13 @@ class SliceComputation:
 
 class RscSession:
     """A session's state: `remaining` holds the rows no step has sliced yet,
-    in no particular order, so every reader must sort it or only count it."""
+    in no particular order, so every reader must sort it or only count it.
+
+    The session copies its data once, since `as_elements` may return the
+    caller's array, and owns that buffer: an order map's `split` may permute
+    `remaining` in place, and the new remainder is a view of it. A stored
+    slice never overlaps the remainder, so no later step writes into it.
+    """
 
     def __init__(self, data, tau: int, budget: PrivacyBudget, k: int = 1,
                  noisy_sizes: bool = True):
@@ -185,7 +217,7 @@ class RscSession:
             raise ValueError(f"per-step epsilon must lie in (0, 1], got {budget.epsilon}")
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        self.remaining = as_elements(data, 64)
+        self.remaining = as_elements(data, 64).copy()
         self.stored_slices = {}
         self.step = 0
         self.tau = tau

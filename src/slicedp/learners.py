@@ -33,10 +33,15 @@ class LabeledSample:
 
     def __post_init__(self):
         points = as_elements(self.points, self.universe.bit_length)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # the int64 cast truncates, so labels that are not integers are
+        # checked by value first; booleans are integers here
+        if labels.dtype.kind not in "biu" and not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("labels must be 0 or 1")
+        labels = labels.astype(np.int64, copy=False)
         if labels.ndim != 1 or labels.shape[0] != points.shape[0]:
             raise ValueError("labels must be one per point")
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if labels.size and (labels.min() < 0 or labels.max() > 1):
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
@@ -175,8 +180,9 @@ def load_labeled_csv(path, bit_length: int) -> LabeledSample:
         raise table.error(0, "need at least one coordinate and a label")
     points, labels = values[:, :-1], values[:, -1]
     table.reject(labels > 1, lambda i: f"label must be 0 or 1, got {labels[i]}")
-    if bit_length < 64:
-        limit = 1 << bit_length
+    limit = 1 << bit_length
+    # one reduction on every load; the row mask only when some row is out of range
+    if bit_length < 64 and int(points.max()) >= limit:
         table.reject((points >= np.uint64(limit)).any(axis=1), lambda i: (
             f"coordinate {points[i].max()} out of range for {bit_length}-bit "
             f"domain (must be < {limit})"))

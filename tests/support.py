@@ -307,6 +307,23 @@ def axis_order_oracle(rows, axis, reverse=False):
     return rows[order[::-1] if reverse else order]
 
 
+def axis_select_oracle(rows, axis, reverse, k):
+    """The axis maps' `select` as it was before sessions owned their buffer,
+    for 0 < k < len(rows): partition coordinate `axis`, order the rows on the
+    near side of the pivot with one lexsort key per column, and gather the
+    rest with a mask and `np.compress`. `rows` is left as it is."""
+    coord = rows[:, axis]
+    at = len(rows) - k if reverse else k - 1
+    pivot = np.partition(coord, at)[at]
+    near = np.flatnonzero(coord >= pivot if reverse else coord <= pivot)
+    keys = [rows[near, i] for i in range(rows.shape[1] - 1, -1, -1) if i != axis]
+    near = near[np.lexsort(tuple(keys + [rows[near, axis]]))]
+    taken = near[::-1][:k] if reverse else near[:k]
+    rest = np.ones(len(rows), dtype=bool)
+    rest[taken] = False
+    return rows[taken], np.compress(rest, rows, axis=0)
+
+
 # The element conversion as it was before `engine.as_elements(data, bit_length)`:
 # a `Dataset` class whose callers read only `.elements`, over an unchecked
 # one-argument conversion.

@@ -36,7 +36,8 @@ from slicedp import (
 
 from slicedp.engine import as_elements
 from slicedp.treelog import _ascending_projected_map
-from support import axis_order_oracle, chi_squared_critical, dataset_oracle, planted_box
+from support import (axis_order_oracle, axis_select_oracle, chi_squared_critical,
+                     dataset_oracle, planted_box)
 
 
 class TestDataset:
@@ -231,6 +232,26 @@ class TestCallerArrays:
         self._unchanged(data, run)
 
 
+# (dtype, low, high, offset): columns drawn in [low, high], and `offset` added
+# to a random half of them. Offset 2^62 mixes 2-bit and 63-bit columns, so the
+# packed rows need two keys and the first key ties while later columns differ.
+MIXED_ROWS = (np.uint64, 0, 3, 1 << 62)
+UINT64_ROWS = [(np.uint64, 0, 3, 0), (np.uint64, 0, (1 << 16) - 1, 0),
+               (np.uint64, 0, (1 << 64) - 1, 0),
+               (np.uint64, (1 << 63) - 2, (1 << 63) + 2, 0), MIXED_ROWS]
+
+
+def _draw_rows(rng, kind, n, d):
+    dtype, lo, hi, offset = kind
+    rows = rng.integers(lo, hi, size=(n, d), endpoint=True, dtype=dtype)
+    rows[:, rng.random(d) < 0.5] += dtype(offset)
+    return rows
+
+
+def _row_counts(rows):
+    return Counter(map(tuple, rows.tolist()))
+
+
 def _adjacent_lists(mapped_short, mapped_long):
     # mapped_long must equal mapped_short with one value inserted
     if len(mapped_long) != len(mapped_short) + 1:
@@ -262,25 +283,27 @@ class TestOrderMaps:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
         st.just(d), st.integers(0, d - 1), st.integers(0, 40),
-        st.sampled_from([(np.uint64, 0, 3), (np.uint64, 0, (1 << 16) - 1),
-                         (np.uint64, 0, (1 << 64) - 1), (np.int64, -3, 3),
-                         (np.int64, 0, (1 << 40) - 1)]))),
+        st.sampled_from([(np.uint64, 0, 3, 0), (np.uint64, 0, (1 << 16) - 1, 0),
+                         (np.uint64, 0, (1 << 64) - 1, 0), (np.int64, -3, 3, 0),
+                         (np.int64, 0, (1 << 40) - 1, 0), MIXED_ROWS]))),
         st.booleans(), st.integers(0, 2 ** 32 - 1))
     def test_axis_map_matches_a_lexsort_per_column(self, shape, reverse, seed):
-        d, axis, n, (dtype, lo, hi) = shape
-        rows = np.random.default_rng(seed).integers(lo, hi, size=(n, d), endpoint=True,
-                                                    dtype=dtype)
+        d, axis, n, kind = shape
+        rows = _draw_rows(np.random.default_rng(seed), kind, n, d)
         order = axis_map(axis, reverse)
         out = order.apply(rows)
         assert out.dtype == rows.dtype
         assert out.tolist() == axis_order_oracle(rows, axis, reverse).tolist()
-        # the selection fast path: the slice in order, the rest as a multiset
+        # the selection fast path: the slice in order, the rest as a multiset;
+        # split may permute its input, so each call gets its own copy
         for k in range(n + 1):
-            head, rest = order.split(rows, k)
+            work = rows.copy()
+            head, rest = order.split(work, k)
             assert head.dtype == rest.dtype == rows.dtype
             assert head.shape == (k, d) and rest.shape == (n - k, d)
             assert head.tolist() == out[:k].tolist()
-            assert Counter(map(tuple, rest.tolist())) == Counter(map(tuple, out[k:].tolist()))
+            assert _row_counts(rest) == _row_counts(out[k:])
+            assert _row_counts(work) == _row_counts(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["descending", "projected", "projected-rows"]),
@@ -324,6 +347,42 @@ def _session(data, tau=4, k=1, epsilon=1.0, noisy=True):
 
 def _spec(m, order=None, algorithm=None):
     return SliceComputation(m=m, algorithm=algorithm, map=order or ascending_map())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.one_of(st.integers(0, 40), st.integers(100, 300)),
+       st.sampled_from(UINT64_ROWS),
+       st.lists(st.tuples(st.integers(0, 7), st.booleans(), st.integers(0, 120)),
+                min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_swap_remove_session_matches_the_gather(d, n, kind, steps, seed):
+    # a whole session of axis steps, against the mask-and-compress select the
+    # in-place one replaced: equal slices in order, equal remainder multisets
+    # after every step, stored slices that later steps leave alone, and the
+    # caller's array unchanged
+    data = _draw_rows(np.random.default_rng(seed), kind, n, d)
+    before = data.copy()
+    session = RscSession(data, tau=len(steps), budget=PrivacyBudget(1.0), noisy_sizes=False)
+    rest, heads = before, []
+    for step, (axis, reverse, m) in enumerate(steps):
+        axis %= d
+        select_and_compute(session, SliceComputation(m, None, axis_map(axis, reverse)),
+                           np.random.default_rng(0))
+        k = min(m, len(rest))
+        if 0 < k < len(rest):
+            head, rest = axis_select_oracle(rest, axis, reverse, k)
+        else:
+            ordered = axis_order_oracle(rest, axis, reverse)
+            head, rest = ordered[:k], ordered[k:]
+        heads.append(head)
+        got = session.stored_slices[step]
+        assert got.dtype == session.remaining.dtype == np.uint64
+        assert got.shape == (k, d) and session.remaining.shape == rest.shape
+        assert got.tolist() == head.tolist()
+        assert _row_counts(session.remaining) == _row_counts(rest)
+    for step, head in enumerate(heads):
+        assert session.stored_slices[step].tolist() == head.tolist()
+    np.testing.assert_array_equal(data, before)
 
 
 class TestSelectAndCompute:

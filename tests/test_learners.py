@@ -30,6 +30,26 @@ class TestLabeledSample:
         sample = LabeledSample(np.array([1, 2]), np.array([1, 0]), u)
         assert len(sample) == 2
 
+    @pytest.mark.parametrize("labels", [[0.5, 1], [1.9, 0], [1.0, np.nan], [np.inf, 0],
+                                        np.array([1, -0.25]), [1, 0.999999]])
+    def test_non_whole_labels_are_rejected(self, labels):
+        # the int64 cast would truncate them to 0 or 1
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledSample(np.array([1, 2]), labels, Universe(8))
+
+    @pytest.mark.parametrize("labels", [[1.0, 0.0], [True, False], np.array([1, 0], np.uint8),
+                                        np.array([1, 0], dtype=object)])
+    def test_whole_and_boolean_labels_load(self, labels):
+        sample = LabeledSample(np.array([1, 2]), labels, Universe(8))
+        assert sample.labels.dtype == np.int64
+        assert sample.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("labels", [[2, 0], [0, -1], np.array([1, 2], np.uint64),
+                                        [1, 1 << 40]])
+    def test_integer_labels_outside_zero_one_are_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledSample(np.array([1, 2]), labels, Universe(8))
+
 
 class TestHypothesis:
     def test_exactly_one_form(self):

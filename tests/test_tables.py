@@ -125,6 +125,9 @@ MALFORMED = {
     "labeled-empty": (LABELED, "", None),
     "labeled-header-only": (LABELED, "x,label\n\n", None),
     "labeled-out-of-range": (LABELED, "1,1\n256,0\n", 2),
+    "labeled-out-of-range-later-column": (LABELED, "x,y,label\n1,2,1\n3,256,0\n", 3),
+    "labeled-out-of-range-later-row": (
+        LABELED, "1,2,3,1\n\n4,5,6,0\n7,8,9,1\n1,2,300,0\n\n1,999,2,1\n", 5),
     "qc-non-integer": (QC, "1,2\nx,3\n", 2),
     "qc-empty": (QC, "", None),
     "qc-header-only": (QC, "y,score\n", None),
@@ -151,6 +154,20 @@ def test_malformed_files_fail_in_both_loaders(path, case):
     assert message.startswith(f"{path}: ")
     if line is not None:
         assert f"{path}: line {line}: " in message
+
+
+@pytest.mark.parametrize("text, line, value", [
+    ("1,1\n256,0\n", 2, 256),
+    ("x,y,label\n1,2,1\n3,256,0\n", 3, 256),
+    ("1,2,3,1\n\n4,5,6,0\n7,8,9,1\n1,2,300,0\n\n1,999,2,1\n", 5, 300),
+])
+def test_out_of_range_coordinate_message(path, text, line, value):
+    write(path, text)
+    message = (f"{path}: line {line}: coordinate {value} out of range for 8-bit "
+               f"domain (must be < 256)")
+    with pytest.raises(ValueError) as caught:
+        load_labeled_csv(path, 8)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("row", [" , ", '""'])
