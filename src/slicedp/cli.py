@@ -8,6 +8,7 @@ byte-identical across runs up to the wall_clock_sec field.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -27,7 +28,7 @@ from .learners import (learn_rectangles, learn_threshold_realizable, load_labele
 from .quasiconcave import load_qc_csv, qc_optimize
 from .tables import read_int_table
 from .sync import (AuditResult, direct_run, estimate_tv, simulate, sync_gamma,
-                   sync_map_exact_dist)
+                   sync_map_exact_dist, trial_streams)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
                       slice_steps, trim_parameter)
 
@@ -86,7 +87,8 @@ def _emit(record: dict, output_path: Optional[str]) -> None:
 
 def _trial_rng(seed: int, *path: int) -> np.random.Generator:
     # counter-based stream derivation: same (seed, path) always gives the
-    # same stream, independent of evaluation order
+    # same stream, independent of evaluation order; loops over trials take
+    # the same streams from `trial_streams`
     return np.random.default_rng([seed, *path])
 
 
@@ -235,13 +237,11 @@ def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range)
     counts = np.empty(len(trials), dtype=np.int64)
     sim_outputs = []
     direct_outputs = []
-    for i, trial in enumerate(trials):
-        transcript = simulate(data, x, 1, script, epsilon, _trial_rng(seed, 2, trial))
-        counts[i] = transcript.holder_calls
-        sim_outputs.append(tuple(
-            simulate(data, x, 0, script, epsilon, _trial_rng(seed, 0, trial)).published))
-        direct_outputs.append(tuple(
-            direct_run(data, script, epsilon, _trial_rng(seed, 1, trial))))
+    streams = zip(*(trial_streams(seed, (role,), trials) for role in range(3)))
+    for i, (sim_rng, direct_rng, count_rng) in enumerate(streams):
+        counts[i] = simulate(data, x, 1, script, epsilon, count_rng).holder_calls
+        sim_outputs.append(tuple(simulate(data, x, 0, script, epsilon, sim_rng).published))
+        direct_outputs.append(tuple(direct_run(data, script, epsilon, direct_rng)))
     return counts, sim_outputs, direct_outputs
 
 
@@ -305,12 +305,12 @@ def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
     ceiling = regime_threshold(universe, epsilon, delta)
     point = universe.size // 2
     allowed = math.floor((1.0 - 0.9) * trials)
+    streams = trial_streams(seed, (), range(trials))
 
     def meets(n: int) -> bool:
         data = np.full(n, point, dtype=np.uint64)
         failures = 0
-        for trial in range(trials):
-            rng = _trial_rng(seed, trial)
+        for rng in streams:
             try:
                 out = ipp(universe, data, epsilon, delta, rng, enforce_regime=False)
             except ValueError:
@@ -448,6 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse builds the whole command tree in about 2 ms; build it once per process
+_parser = functools.cache(build_parser)
+
+
 _HANDLERS = {
     "ipp": _cmd_ipp,
     "learn-threshold": _cmd_learn_threshold,
@@ -461,7 +465,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     parsed = {key: value for key, value in vars(args).items() if key != "command"}
     try:

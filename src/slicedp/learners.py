@@ -180,13 +180,15 @@ def load_labeled_csv(path, bit_length: int) -> LabeledSample:
         raise table.error(0, "need at least one coordinate and a label")
     points, labels = values[:, :-1], values[:, -1]
     table.reject(labels > 1, lambda i: f"label must be 0 or 1, got {labels[i]}")
-    limit = 1 << bit_length
-    # one reduction on every load; the row mask only when some row is out of range
-    if bit_length < 64 and int(points.max()) >= limit:
-        table.reject((points >= np.uint64(limit)).any(axis=1), lambda i: (
-            f"coordinate {points[i].max()} out of range for {bit_length}-bit "
-            f"domain (must be < {limit})"))
-    if points.shape[1] == 1:
-        points = points[:, 0]
-    return LabeledSample(points=points, labels=labels,
-                         universe=Universe(bit_length))
+    try:
+        # `as_elements` checks the coordinates with one reduction on every
+        # load; the row mask is built only when that check fails
+        return LabeledSample(points=points[:, 0] if points.shape[1] == 1 else points,
+                             labels=labels, universe=Universe(bit_length))
+    except ValueError:
+        limit = 1 << bit_length
+        if bit_length < 64:
+            table.reject((points >= np.uint64(limit)).any(axis=1), lambda i: (
+                f"coordinate {points[i].max()} out of range for {bit_length}-bit "
+                f"domain (must be < {limit})"))
+        raise

@@ -11,13 +11,118 @@ is the audit harness.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .engine import (OrderMap, RscSession, SliceComputation, as_elements, delayed_compute,
                      select_and_compute)
 from .mechanisms import PrivacyBudget, geometric_pmf, sample_geometric
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT = 16
+_MASK32 = 0xffffffff
+
+
+def _int_words(value: int) -> List[int]:
+    """SeedSequence's entropy words of one integer: little-endian 32-bit
+    words, and [0] for 0."""
+    if value < 0:
+        raise ValueError(f"stream keys must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_seeds(entropy: List[np.ndarray]) -> np.ndarray:
+    """`SeedSequence(entropy).generate_state(4, np.uint64)` for every row of
+    the entropy columns at once: one (rows, 4) uint64 array."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    with np.errstate(over="ignore"):
+        zero = np.zeros_like(entropy[0])
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+                for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state: 8 uint32 words cycling the pool, paired little-endian
+        hash_const = _INIT_B
+        state = np.empty((len(zero), 8), dtype=np.uint32)
+        for i in range(8):
+            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _KnownState(ISeedSequence):
+    """A seed sequence whose PCG64 seed words are already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's seed request is known")
+        return self.words
+
+
+class TrialStreams:
+    """The generators `np.random.default_rng([seed, *path, trial])` of every
+    trial of a range, bit for bit; each pass yields fresh generators."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        for words in self._words:
+            yield np.random.Generator(np.random.PCG64(_KnownState(words)))
+
+
+def trial_streams(seed: int, path: Sequence[int], trials: range) -> TrialStreams:
+    """Per-trial streams keyed by (seed, path, trial), with SeedSequence's
+    hashing run over the whole range at once instead of once per trial.
+
+    Trials take one entropy word below 2^32 and two from there up to 2^64.
+    """
+    key = [w for part in (seed, *path) for w in _int_words(part)]
+    ends = (trials[0], trials[-1]) if trials else (0, 0)
+    if not (0 <= min(ends) and max(ends) < 1 << 64):
+        raise ValueError(f"trial indices must lie in [0, 2^64), got {trials}")
+    index = np.fromiter(trials, dtype=np.uint64, count=len(trials))
+    words = np.empty((len(index), 4), dtype=np.uint64)
+    low = index >> np.uint64(32) == 0
+    for rows, width in ((low, 1), (~low, 2)):
+        part = index[rows]
+        if part.size:
+            columns = [np.full(part.size, w, dtype=np.uint32) for w in key]
+            columns += [(part >> np.uint64(32 * i)).astype(np.uint32) for i in range(width)]
+            words[rows] = _pcg64_seeds(columns)
+    return TrialStreams(words)
 
 
 class SyncOutcome(NamedTuple):

@@ -16,9 +16,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from slicedp import (LabeledSample, QcInstance, SimTranscript, TreeVertex,
-                     Universe, embed_order_map, gamma, left_right_leaf, sample_geometric,
-                     sample_laplace, sync_map, vertex_interval)
+from slicedp import (LabeledSample, QcInstance, SimTranscript, SliceComputation, TreeVertex,
+                     Universe, ascending_map, direct_run, embed_order_map, gamma,
+                     left_right_leaf, sample_geometric, sample_laplace, simulate, sync_map,
+                     vertex_interval)
 from slicedp.engine import as_elements
 from slicedp.sync import _check_epsilon
 from slicedp.treelog import _heavy_path
@@ -570,3 +571,19 @@ def simulate_oracle(data, x, b, script, epsilon, rng, delayed=None):
     return SimTranscript(published=published, holder_calls=len(holder_steps),
                          holder_steps=holder_steps, final_status=status,
                          final_diff=None if status == 1 else x_cur)
+
+
+def audit_trials_oracle(seed, epsilon, tau, size, trials):
+    """`cli._audit_trials` as a plain loop: each trial builds its three
+    streams with `np.random.default_rng([seed, role, trial])`, the
+    derivation that `slicedp.sync.trial_streams` vectorizes."""
+    data = np.arange(1, size + 1, dtype=np.uint64)
+    algorithm = lambda s: int(s.min()) if len(s) else -1
+    script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(tau)]
+    counts, sim_outputs, direct_outputs = [], [], []
+    for trial in trials:
+        rng = [np.random.default_rng([seed, role, trial]) for role in range(3)]
+        counts.append(simulate(data, 0, 1, script, epsilon, rng[2]).holder_calls)
+        sim_outputs.append(tuple(simulate(data, 0, 0, script, epsilon, rng[0]).published))
+        direct_outputs.append(tuple(direct_run(data, script, epsilon, rng[1])))
+    return np.array(counts, dtype=np.int64), sim_outputs, direct_outputs

@@ -2,6 +2,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from slicedp import cli
 from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
+from support import audit_trials_oracle
 
 RECORD_KEYS = {"schema_version", "command", "parameters", "payload",
                "success", "wall_clock_sec"}
@@ -488,6 +492,63 @@ class TestParallelAuditTrials:
         assert record["payload"] == {"error": "worker failed"}
         assert "ZeroDivisionError" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+
+class TestAuditStreams:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([0, 9, 2**32, 2**64 - 1]), st.integers(1, 3), st.integers(0, 5),
+           st.integers(0, 20), st.integers(0, 6))
+    def test_trials_equal_a_default_rng_loop(self, seed, tau, size, start, length):
+        trials = range(start, start + length)
+        got = cli._audit_trials(seed, 0.5, tau, size, trials)
+        expected = audit_trials_oracle(seed, 0.5, tau, size, trials)
+        assert np.array_equal(got[0], expected[0]) and got[0].dtype == np.int64
+        assert got[1:] == expected[1:]
+
+    def test_trials_across_two_to_the_32(self):
+        trials = range(2**32 - 2, 2**32 + 2)
+        got = cli._audit_trials(13, 0.5, 2, 4, trials)
+        expected = audit_trials_oracle(13, 0.5, 2, 4, trials)
+        assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
+
+
+class TestParserReuse:
+    def test_main_in_a_row_matches_fresh_processes(self, tmp_path, capsys):
+        argvs = [
+            ["account", "--seed", "3", "--tau", "4"],
+            ["ipp", "--seed", "3", "--bits"],  # exits: --bits takes a value
+            ["audit-sim", "--seed", "3", "--trials", "20", "--tau", "2", "--size", "4"],
+            ["ipp", "--seed", "3", "--input", str(tmp_path / "missing.txt")],
+            ["sweep", "--seed", "3", "--epsilon", "1", "--delta", "0.1",
+             "--trials", "3", "--bits", "4"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+        def outcome(rc, out, err):
+            record = json.loads(out.read_text()) if out.exists() else None
+            if record:
+                del record["wall_clock_sec"]
+            return rc, record, err
+
+        fresh = []
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"record{i}.json"
+            done = subprocess.run([sys.executable, "-m", "slicedp.cli", *argv,
+                                   "--output", str(out)], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            fresh.append(outcome(done.returncode, out, done.stderr))
+        capsys.readouterr()
+        in_process = []
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"record{i}.json"
+            out.unlink(missing_ok=True)
+            try:
+                rc = main(argv + ["--output", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+            in_process.append(outcome(rc, out, capsys.readouterr().err))
+        assert [rc for rc, _, _ in fresh] == [0, 2, 0, 1, 0]
+        assert in_process == fresh
 
 
 class TestSweepCommand:

@@ -24,7 +24,7 @@ from slicedp import (
     sync_map_exact_dist,
     sync_threshold,
 )
-from slicedp.sync import _diff_and_rank
+from slicedp.sync import _KnownState, _diff_and_rank, trial_streams
 from support import _diff_and_rank_oracle, simulate_oracle
 
 
@@ -366,3 +366,51 @@ class TestCallCountAudit:
         with pytest.raises(ValueError):
             audit_call_count([1], 0, 0, _script(), 0.5, trials=0,
                              rng=np.random.default_rng(0))
+
+
+KEYS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                 st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def _trial_ranges(draw):
+    """Ranges that are empty, start above 0, cross 2^32, or end at 2^64 - 1."""
+    first = draw(st.one_of(st.just(0), st.integers(2**32 - 6, 2**32 + 1),
+                           st.integers(0, 2**64 - 1), st.just(2**64 - 8)))
+    step = draw(st.sampled_from([1, 3, -1]))
+    length = min(draw(st.integers(0, 8)), (2**64 - 1 - first) // abs(step) + 1)
+    if step < 0:
+        return range(first + length - 1, first - 1, -1)
+    return range(first, first + step * length, step)
+
+
+class TestTrialStreams:
+    """The guard against a numpy release that changes SeedSequence: every
+    stream equals `default_rng([seed, *path, trial])`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(KEYS, st.lists(KEYS, max_size=2), _trial_ranges())
+    def test_streams_equal_default_rng(self, seed, path, trials):
+        streams = trial_streams(seed, path, trials)
+        first_pass, second_pass = list(streams), list(streams)
+        assert len(first_pass) == len(second_pass) == len(trials)
+        for rng, again, trial in zip(first_pass, second_pass, trials):
+            expected = np.random.default_rng([seed, *path, trial])
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert again.bit_generator.state == expected.bit_generator.state
+            assert rng.integers(0, 2**63) == expected.integers(0, 2**63)
+            assert rng.random() == expected.random()
+            assert rng.geometric(0.3) == expected.geometric(0.3)
+            assert rng.laplace(0.0, 2.0) == expected.laplace(0.0, 2.0)
+
+    @pytest.mark.parametrize("seed,path,trials", [
+        (-1, (), range(2)), (0, (-1,), range(2)), (0, (), range(-1, 2)),
+        (0, (), range(2**64, 2**64 + 1)), (0, (), range(2**64 - 1, 2**64 + 1)),
+    ])
+    def test_negative_or_oversized_keys_are_rejected(self, seed, path, trials):
+        with pytest.raises(ValueError):
+            trial_streams(seed, path, trials)
+
+    def test_only_pcg64_seeding_is_served(self):
+        with pytest.raises(ValueError, match="only PCG64"):
+            np.random.MT19937(_KnownState(np.zeros(4, dtype=np.uint64)))
