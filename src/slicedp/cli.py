@@ -222,10 +222,13 @@ def _cmd_audit_sync(args: argparse.Namespace):
 
 def _audit_instance(size: int):
     # adversarial instance: the diff element x = 0 sorts first under the
-    # ascending order, so every round involves it until the holder syncs
+    # ascending order, so every round involves it until the holder syncs.
+    # Every slice the script takes (the simulator's, the holder's and the
+    # direct run's) is a prefix of an `ascending_map` output, so its first
+    # element is its minimum. x is a uint64 so `as_elements` passes it as is.
     data = np.arange(1, size + 1, dtype=np.uint64)
-    algorithm = lambda s: int(s.min()) if len(s) else -1
-    return data, 0, algorithm
+    algorithm = lambda s: int(s[0]) if len(s) else -1
+    return data, np.uint64(0), algorithm
 
 
 def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range):

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .engine import (OrderMap, RscSession, SliceComputation, as_elements, delayed_compute,
+from .engine import (RscSession, SliceComputation, as_elements, delayed_compute,
                      select_and_compute)
 from .mechanisms import PrivacyBudget, geometric_pmf, sample_geometric
 
@@ -41,26 +41,43 @@ def _int_words(value: int) -> List[int]:
     return words
 
 
-def _pcg64_seeds(entropy: List[np.ndarray]) -> np.ndarray:
+def _wrap(value):
+    """Reduces a Python int mod 2^32; a uint32 array wraps by itself."""
+    return value & _MASK32 if isinstance(value, int) else value
+
+
+def _state_constants() -> Tuple[np.ndarray, np.ndarray]:
+    # generate_state's 8 words: word i xors hash constant i, then multiplies
+    # by hash constant i + 1
+    consts = [_INIT_B]
+    for _ in range(8):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    return np.array(consts[:8], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
+
+
+_STATE_XOR, _STATE_MULT = _state_constants()
+
+
+def _pcg64_seeds(entropy: list) -> np.ndarray:
     """`SeedSequence(entropy).generate_state(4, np.uint64)` for every row of
-    the entropy columns at once: one (rows, 4) uint64 array."""
+    the entropy columns at once: one (rows, 4) uint64 array. A column that
+    is the same on every row may be a Python int; it stays one until it is
+    mixed with an array, and at least one column must be an array."""
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
+        value = _wrap(value * hash_const)
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        result = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
         return result ^ (result >> _XSHIFT)
 
     with np.errstate(over="ignore"):
-        zero = np.zeros_like(entropy[0])
-        pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-                for i in range(_POOL_SIZE)]
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
         for src in range(_POOL_SIZE):
             for dst in range(_POOL_SIZE):
                 if src != dst:
@@ -69,13 +86,9 @@ def _pcg64_seeds(entropy: List[np.ndarray]) -> np.ndarray:
             for dst in range(_POOL_SIZE):
                 pool[dst] = mix(pool[dst], hashmix(word))
         # generate_state: 8 uint32 words cycling the pool, paired little-endian
-        hash_const = _INIT_B
-        state = np.empty((len(zero), 8), dtype=np.uint32)
-        for i in range(8):
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state[:, i] = value ^ (value >> _XSHIFT)
+        state = np.stack(pool * 2, axis=1) ^ _STATE_XOR
+        state *= _STATE_MULT
+        state ^= state >> _XSHIFT
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -119,9 +132,8 @@ def trial_streams(seed: int, path: Sequence[int], trials: range) -> TrialStreams
     for rows, width in ((low, 1), (~low, 2)):
         part = index[rows]
         if part.size:
-            columns = [np.full(part.size, w, dtype=np.uint32) for w in key]
-            columns += [(part >> np.uint64(32 * i)).astype(np.uint32) for i in range(width)]
-            words[rows] = _pcg64_seeds(columns)
+            words[rows] = _pcg64_seeds(
+                key + [(part >> np.uint64(32 * i)).astype(np.uint32) for i in range(width)])
     return TrialStreams(words)
 
 
@@ -228,9 +240,11 @@ def _diff_and_rank(short: np.ndarray, long: np.ndarray) -> Tuple[int, int]:
     if len(long) != len(short) + 1:
         raise ValueError("order map is not adjacency preserving: output sizes differ by "
                          f"{len(long) - len(short)}")
-    mismatch = np.flatnonzero(short != long[:-1])
-    p0 = int(mismatch[0]) if mismatch.size else len(short)
-    if not np.array_equal(short[p0:], long[p0 + 1:]):
+    differs = short != long[:-1]
+    p0 = int(differs.argmax()) if len(short) else 0
+    if not (len(short) and differs[p0]):
+        p0 = len(short)  # the inserted element comes last
+    elif not (short[p0:] == long[p0 + 1:]).all():
         raise ValueError("order map is not adjacency preserving: suffixes disagree")
     return long[p0], p0 + 1
 
@@ -238,9 +252,12 @@ def _diff_and_rank(short: np.ndarray, long: np.ndarray) -> Tuple[int, int]:
 class DataHolder:
     """Holds the private bit; answers slice queries and tries to synchronize.
 
-    First-phase queries slice the true dataset under the supplied map and
-    report (q_hat, beta, result); slices are stored by step for the
-    delayed-compute phase.
+    An order map is deterministic, so the holder's arrangement of the true
+    dataset D + b·{x} is the one the simulator has already computed: a query
+    gets the step's pair (map of D, map of D + {x}) and slices entry b,
+    which only the holder reads. First-phase queries report
+    (q_hat, beta, result); slices are stored by step for the delayed-compute
+    phase.
     """
 
     def __init__(self, b: int, epsilon: float, rng: np.random.Generator):
@@ -252,16 +269,12 @@ class DataHolder:
         self._rng = rng
         self.stored = {}
 
-    def query(self, data: Sequence[int], x: int, q: int, algorithm: Optional[Callable],
-              order_map: OrderMap, step: Optional[int] = None):
+    def query(self, arrangements: Tuple[np.ndarray, np.ndarray], q: int,
+              algorithm: Optional[Callable], step: Optional[int] = None):
         if q < 0:
             raise ValueError(f"q must be nonnegative, got {q}")
-        x = as_elements(x, 64)
-        base = as_elements(data, 64)
         delta = sample_geometric(self.epsilon, self._rng)
-        if self.b == 1:
-            base = np.append(base, x)
-        slice_part = self.stored[step] = order_map.apply(base)[:q + delta]
+        slice_part = self.stored[step] = arrangements[self.b][:q + delta]
         result = algorithm(slice_part) if algorithm else None
         alpha, beta = sync_map(self.b, delta, self.epsilon, self._rng)
         return q + alpha, beta, result
@@ -281,11 +294,20 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     dataset. Optional second-phase requests (step index, algorithm) route to
     the simulator's stored slice or to the holder per where the true slice
     lives; as in a direct run, each slice takes at most one.
+
+    `data` must be 1-D, x one element and the script nonempty; anything else
+    is a ValueError.
     """
+    if not script:
+        raise ValueError(f"tau must be at least 1, got {len(script)}")
     _check_epsilon(epsilon)
     x_cur = as_elements(x, 64)
+    if x_cur.ndim:
+        raise ValueError(f"x must be one element, got an array of shape {x_cur.shape}")
     holder = DataHolder(b, epsilon, rng)
     current = as_elements(data, 64)
+    if current.ndim != 1:
+        raise ValueError(f"data must be 1-D, got an array of shape {current.shape}")
     status = 0
     published = []
     holder_steps = []
@@ -294,8 +316,11 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     for i, spec in enumerate(script):
         mapped = spec.map.apply(current)
         if status == 0:
-            mapped_with = spec.map.apply(np.append(current, x_cur))
-            if np.array_equal(mapped, mapped_with):
+            with_x = np.empty(len(current) + 1, dtype=np.uint64)
+            with_x[:-1] = current
+            with_x[-1] = x_cur
+            mapped_with = spec.map.apply(with_x)
+            if mapped.shape == mapped_with.shape and (mapped == mapped_with).all():
                 status = 1  # map eliminated the diff element
         m_hat = spec.m + sample_geometric(epsilon, rng)
         if status == 0:
@@ -308,8 +333,8 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
                 x_cur = x_prime
             result = spec.algorithm(slice_part) if spec.algorithm else None
         else:
-            q_hat, beta, result = holder.query(current, x_cur, max(p, spec.m),
-                                               spec.algorithm, spec.map, step=i)
+            q_hat, beta, result = holder.query((mapped, mapped_with), max(p, spec.m),
+                                               spec.algorithm, step=i)
             holder_steps.append(i)
             current = mapped[q_hat:]
             if beta == 1 or q_hat > len(mapped):

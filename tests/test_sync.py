@@ -135,34 +135,34 @@ def _len_algorithm(arr):
     return int(arr.size)
 
 
+def _arrangements(data, x):
+    """The simulator's pair for one step under the ascending map: the map of
+    D and of D + {x}."""
+    base = np.asarray(data, dtype=np.uint64)
+    return ascending_map().apply(base), ascending_map().apply(np.append(base, np.uint64(x)))
+
+
 class TestHolderQuery:
     def test_b0_reports_drawn_size(self):
         rng = np.random.default_rng(5)
-        data = list(range(1, 40))
+        arrangements = _arrangements(range(1, 40), 0)
         for _ in range(200):
             q_hat, beta, result = DataHolder(0, 0.5, rng).query(
-                data, 0, q=3, algorithm=_len_algorithm, order_map=ascending_map())
+                arrangements, q=3, algorithm=_len_algorithm)
             assert result == q_hat
 
     def test_b1_size_is_q_hat_plus_beta(self):
         rng = np.random.default_rng(6)
-        data = list(range(1, 40))
+        arrangements = _arrangements(range(1, 40), 0)
         for _ in range(200):
             q_hat, beta, result = DataHolder(1, 0.5, rng).query(
-                data, 0, q=3, algorithm=_len_algorithm, order_map=ascending_map())
+                arrangements, q=3, algorithm=_len_algorithm)
             assert result == q_hat + beta
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
             DataHolder(0, 0.5, np.random.default_rng(0)).query(
-                [1], 0, q=-1, algorithm=None, order_map=ascending_map())
-
-    @pytest.mark.parametrize("data, x", [([-1, 3], 0), ([1, 3], -2), ([1.5, 3], 0)],
-                             ids=["negative-data", "negative-x", "float-data"])
-    def test_bad_input_is_a_value_error(self, data, x):
-        with pytest.raises(ValueError):
-            DataHolder(1, 0.5, np.random.default_rng(0)).query(
-                data, x, q=1, algorithm=None, order_map=ascending_map())
+                _arrangements([1], 0), q=-1, algorithm=None)
 
 
 def _script(tau=2, m=2):
@@ -275,6 +275,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             direct_run(data + [x], _script(), 0.5, rng)
 
+    @pytest.mark.parametrize("data, x, message", [
+        ([1, 3], [], "x must be one element"),
+        ([1, 3], [1, 2], "x must be one element"),
+        ([[1, 2], [3, 4]], 0, "data must be 1-D"),
+    ], ids=["no-x", "two-x", "2d-data"])
+    def test_what_it_cannot_simulate_is_a_value_error(self, data, x, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(data, x, 1, _script(), 0.5, np.random.default_rng(18))
+
+    def test_empty_script_raises_like_direct_run(self):
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError) as direct:
+            direct_run([1, 3], [], 0.5, rng)
+        with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+            simulate([1, 3], 0, 1, [], 0.5, rng)
+
 
 def _slice_tuple(arr):
     return tuple(arr.tolist())
@@ -316,12 +332,48 @@ class TestSimulateMatchesListOracle:
         assert new.final_diff == old.final_diff
         assert rng_new.random() == rng_old.random()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 8), st.booleans(), st.integers(0, 1),
+           st.sampled_from([0.2, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+    def test_map_applies_per_step(self, size, tau, collapse, b, epsilon, seed):
+        # x = 0 sorts first under the ascending map, so every step up to the
+        # holder's synchronization calls the holder; under the collapsing
+        # map x is already in the data, so step 0 eliminates it
+        data = list(range(1, size + 1))
+        x = 1 if collapse and data else 0
+        base = _dedup_ascending() if collapse else ascending_map()
+        applies = [0] * tau
+
+        def counting(step):
+            def apply(a):
+                applies[step] += 1
+                return base.apply(a)
+            return OrderMap(base.name, apply)
+
+        counted = [SliceComputation(1, _slice_tuple, counting(i)) for i in range(tau)]
+        plain = [SliceComputation(1, _slice_tuple, base) for _ in range(tau)]
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = simulate(data, x, b, counted, epsilon, rng_new)
+        old = simulate_oracle(data, x, b, plain, epsilon, rng_old)
+        synced = 1 if x else len(new.holder_steps)
+        assert new.holder_steps == list(range(0 if x else synced))
+        # two applies while the diff element is live, one after; a holder
+        # step that mapped again would count three
+        assert applies == [2] * synced + [1] * (tau - synced)
+        assert new.published == old.published
+        assert new.holder_steps == old.holder_steps
+        assert rng_new.random() == rng_old.random()
+
     @pytest.mark.parametrize("apply", [
         # odd-sized inputs lose their two largest elements
         lambda a: np.sort(a)[:-2] if a.size % 2 else np.sort(a),
         # odd-sized inputs come out descending, so the suffixes disagree
         lambda a: np.sort(a)[::-1] if a.size % 2 else np.sort(a),
-    ], ids=["drops-two", "suffixes-disagree"])
+        # odd-sized inputs drop their smallest and lead with their largest
+        # twice, so the suffixes disagree in their first element only
+        lambda a: np.concatenate(([a.max()] * 2, np.sort(a)[1:-1])) if a.size % 2
+        else np.sort(a),
+    ], ids=["drops-two", "suffixes-disagree", "first-suffix-element"])
     def test_broken_maps_raise_the_same_message(self, apply):
         data = np.array([1, 2, 3, 4], dtype=np.uint64)
         short, long = apply(data), apply(np.append(data, np.uint64(9)))
