@@ -61,13 +61,13 @@ class OrderMap:
     `split(a, k)` returns the first k outputs and the rest. A map may supply
     `select(a, k)` to find the slice without ordering the whole input; it is
     called only for 0 < k < len(a), and its slice must equal `apply(a)[:k]`.
-    The rest is in no particular order, so a reader must sort it or only
-    count it.
+    The rest is in whatever order the map leaves it, so a reader must check
+    or sort its order, or only count it.
 
-    `select` may permute `a` in place: it returns the slice as a fresh array
-    and the rest as a view of `a`, so the caller must own `a`, and nothing
-    may hold a view of it that expects its old order. `apply` leaves `a` as
-    it is; its rest is a view of the fresh array it returns.
+    `select` may permute `a` in place and return the slice and the rest as
+    views of `a` that do not overlap, so the caller must own `a`, and
+    nothing may hold a view of it that expects its old order. `apply`
+    leaves `a` as it is; its rest is a view of the fresh array it returns.
     """
 
     name: str
@@ -81,31 +81,13 @@ class OrderMap:
         return ordered[:k], ordered[k:]
 
 
-def select_sorted(a: np.ndarray, k: int, descending: bool = False
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """The k smallest (or largest) values of a 1-D array in order, and the
-    rest unordered, for 0 < k < len(a): one partition, then a sort of the k
-    values taken only.
-
-    Partitions `a` in place, which saves the copy `np.partition` makes: the
-    slice is a fresh array and the rest a view of `a`.
-    """
-    at = len(a) - k if descending else k - 1
-    a.partition(at)
-    if descending:
-        return np.sort(a[at:])[::-1], a[:at]
-    return np.sort(a[:k]), a[k:]
-
-
 def ascending_map() -> OrderMap:
     return OrderMap("ascending", lambda a: np.sort(a, kind="stable"))
 
 
 def descending_map() -> OrderMap:
-    """Largest first, on 1-D arrays; `select` partitions once and sorts only
-    the slice, so the rest comes back unordered."""
-    return OrderMap("descending", lambda a: np.sort(a, kind="stable")[::-1],
-                    lambda a, k: select_sorted(a, k, descending=True))
+    """Largest first, on 1-D arrays."""
+    return OrderMap("descending", lambda a: np.sort(a, kind="stable")[::-1])
 
 
 def _row_order(a: np.ndarray, priority) -> np.ndarray:
@@ -201,7 +183,8 @@ class SliceComputation:
 
 class RscSession:
     """A session's state: `remaining` holds the rows no step has sliced yet,
-    in no particular order, so every reader must sort it or only count it.
+    in the order the last step's map left it, so every reader must check or
+    sort its order, or only count it.
 
     The session copies its data once, since `as_elements` may return the
     caller's array, and owns that buffer: an order map's `split` may permute
@@ -235,7 +218,7 @@ def select_and_compute(session: RscSession, spec: SliceComputation,
     sessions). When m_hat exceeds the remaining data, the slice takes
     everything; the regime checks of the callers keep this rare. The slice
     is the first m_hat rows of `spec.map`'s order; the new remainder is the
-    map's `split` rest, in no particular order.
+    map's `split` rest.
     """
     if session.step >= session.tau:
         raise RuntimeError(f"session exhausted: all {session.tau} steps used")

@@ -46,12 +46,15 @@ class QualityFunction:
 
 
 def geometric_pmf(epsilon: float, k: int) -> float:
-    """Exact pmf of the slice-size noise: Pr[k] = (e^-eps)^k * (1 - e^-eps)."""
+    """Exact pmf of the slice-size noise: Pr[k] = (e^-eps)^k * (1 - e^-eps).
+
+    1 - e^-eps is taken as -expm1(-eps), which does not cancel at small eps.
+    """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if k < 0:
         return 0.0
-    return math.exp(-epsilon * k) * (1.0 - math.exp(-epsilon))
+    return math.exp(-epsilon * k) * -math.expm1(-epsilon)
 
 
 def sample_geometric(epsilon: float, rng: np.random.Generator) -> int:

@@ -64,10 +64,17 @@ def build_increment_dataset(f_prime, n: int) -> np.ndarray:
         raise ValueError("score table is not quasi-concave")
     if int(arr.max()) != n:
         raise ValueError(f"peak score {int(arr.max())} does not match declared n = {n}")
-    increments = arr - np.concatenate(([0], arr[:-1]))
-    rising = increments > 0
-    return np.repeat(np.arange(arr.size, dtype=np.uint64)[rising],
-                     increments[rising])
+    return _increments(arr)
+
+
+def _increments(arr: np.ndarray) -> np.ndarray:
+    # each y where the int64 table rises, repeated by the rise (a zero before
+    # index 0); only the rising positions are gathered
+    rises = np.flatnonzero(arr[1:] > arr[:-1]) + 1
+    counts = arr[rises] - arr[rises - 1]
+    if arr[0] > 0:
+        rises, counts = np.r_[0, rises], np.r_[arr[0], counts]
+    return np.repeat(rises.astype(np.uint64), counts)
 
 
 def scaled_budget(universe: Universe, epsilon: float, delta: float,
@@ -84,6 +91,9 @@ def scaled_budget(universe: Universe, epsilon: float, delta: float,
     delta_p = (delta ** constant_c) / (1 << ls)
     if eps_p > 1.0:
         raise ValueError(f"epsilon {epsilon} too large: scaled step budget exceeds 1")
+    if delta_p == 0.0:
+        raise ValueError(f"constant_c={constant_c} with delta={delta}: the scaled step "
+                         f"delta delta^C / 2^log*|X| underflows to 0")
     return eps_p, delta_p
 
 
@@ -158,8 +168,10 @@ def qc_optimize(instance: QcInstance, epsilon: float, delta: float,
         return QcResult(solution=0, score=int(scores[0]),
                         opt_estimate=int(scores[0]) + 2 * n,
                         error_bound=2 * n, branch="small-gap")
-    f_prime = np.maximum(scores - (opt - n), 0)
-    increments = build_increment_dataset(f_prime, n)
+    # f' of a checked instance is quasi-concave with peak n and nonnegative,
+    # so its increments skip `build_increment_dataset`'s checks
+    f_prime = scores - (opt - n)
+    increments = _increments(np.maximum(f_prime, 0, out=f_prime))
     y = cumulative_ipp(universe, increments, epsilon, delta, rng, constant_c)
     y = min(int(y), instance.size - 1)
     return QcResult(solution=y, score=int(scores[y]),

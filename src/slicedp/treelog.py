@@ -6,9 +6,10 @@ heavy path is one walk down a sorted array with one binary search per depth
 on a shrinking index range, so 64-bit domains cost nothing extra.
 Each recursion level slices off the t smallest and t largest points, checks a
 noisy balance gate, and either finishes in a single heavy round or embeds the
-remaining points into the short label domain {1..L} and recurses. The two trim
-slices are found by partition, not by sorting, so a level sorts its remainder
-once, and the gate and the heavy round both read that sorted array.
+remaining points into the short label domain {1..L} and recurses. A level
+keeps its remainder sorted in the session's buffer: the trims sort only input
+that is out of order, cut their slices off its two ends as views, and the gate,
+the heavy round and the embedding read the sorted rest without a copy.
 """
 
 import math
@@ -18,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .engine import (OrderMap, RscSession, SliceComputation, as_elements, delayed_compute,
-                     descending_map, select_and_compute, select_sorted)
+                     select_and_compute)
 from .mechanisms import (PrivacyBudget, QualityFunction, choosing_mechanism,
                          exponential_mechanism, sample_laplace)
 
@@ -152,10 +153,21 @@ def _heavy_path(sorted_data: np.ndarray, bit_length: int):
 
 
 def _project_labels(arr: np.ndarray) -> np.ndarray:
-    # label column of an embedded slice, shifted to the child domain {0..L-1}
+    # label column of an embedded slice, shifted to the child domain {0..L-1};
+    # rows are read last to first, so the embedding's non-increasing labels
+    # come out nondecreasing
     if arr.ndim == 2:
-        return arr[:, 0] - np.uint64(1)
+        return arr[::-1, 0] - np.uint64(1)
     return arr
+
+
+def _is_sorted(arr: np.ndarray) -> bool:
+    return bool(np.all(arr[:-1] <= arr[1:]))
+
+
+def _ascending(arr: np.ndarray) -> np.ndarray:
+    # arr itself when it is already nondecreasing, else a sorted copy
+    return arr if _is_sorted(arr) else np.sort(arr)
 
 
 def embed_order_map(universe: Universe) -> OrderMap:
@@ -165,7 +177,7 @@ def embed_order_map(universe: Universe) -> OrderMap:
     slices rows; callers project out either column."""
 
     def apply(a: np.ndarray) -> np.ndarray:
-        sorted_data = np.sort(_project_labels(a))
+        sorted_data = _ascending(_project_labels(a))
         light, _ = _heavy_path(sorted_data, universe.bit_length)
         labels = np.full(sorted_data.size, universe.bit_length, dtype=np.uint64)
         for depth, (j0, j1) in enumerate(light):
@@ -179,13 +191,10 @@ def embed_order_map(universe: Universe) -> OrderMap:
 def gamma(data, universe: Universe) -> int:
     """Max over the greedy path of the lighter-child weight; sensitivity 1.
 
-    Sorts with numpy's stable kind (timsort for uint64), which makes one
-    linear pass over data that is already sorted, as `ipp`'s remainder is.
-    Unsorted data gives the same result but sorts about ten times slower
-    than under the default kind: on 532k uint64 elements, 0.9 ms sorted and
-    65 ms shuffled, against 6 ms either way (numpy 2.4, 2-core Xeon).
+    Data that is already sorted, as `ipp`'s remainder is, is read as it is;
+    anything else is sorted first.
     """
-    sorted_data = np.sort(as_elements(data, 64), kind="stable")
+    sorted_data = _ascending(as_elements(data, 64))
     light, _ = _heavy_path(sorted_data, universe.bit_length)
     return max(j1 - j0 for j0, j1 in light)
 
@@ -198,10 +207,9 @@ def one_heavy_round(data, universe: Universe, t: int, epsilon: float,
     Walks the heavy path; at the first vertex where both children hold real
     mass (noisy check against t/4 with a fresh threshold draw), returns the
     boundary leaf between the children, and otherwise ends at a leaf.
-    Sorts as `gamma` does: one linear pass when the data is already sorted,
-    as `ipp` passes it, and slower than the default kind when it is not.
+    Reads sorted data as it is, as `gamma` does.
     """
-    sorted_data = np.sort(as_elements(data, 64), kind="stable")
+    sorted_data = _ascending(as_elements(data, 64))
     if sorted_data.size == 0:
         raise ValueError("one_heavy_round requires a nonempty dataset")
     light, leaf = _heavy_path(sorted_data, universe.bit_length)
@@ -234,12 +242,33 @@ _IPP_QUALITY = QualityFunction(evaluate=_sorted_ipp_score)
 
 def _base_case(data: np.ndarray, universe: Universe, epsilon: float, rng) -> int:
     return int(exponential_mechanism(list(range(universe.size)), _IPP_QUALITY,
-                                     np.sort(data), epsilon, rng))
+                                     _ascending(data), epsilon, rng))
 
 
-def _ascending_projected_map() -> OrderMap:
-    return OrderMap("project-ascending", lambda a: np.sort(_project_labels(a)),
-                    lambda a, k: select_sorted(_project_labels(a), k))
+def _trim_map(descending: bool) -> OrderMap:
+    """A level's trim: its t smallest or t largest points, labels projected.
+
+    `apply` is a stable sort. `select` sorts the projected input in place
+    only when it is out of order, then cuts the slice off one end, as a
+    prefix view or a reversed suffix view, and leaves the rest as a sorted
+    view between them: a level's remainder stays sorted in the session's
+    buffer. The map names are those of the trace's apply spans.
+    """
+
+    def apply(a: np.ndarray) -> np.ndarray:
+        ordered = np.sort(_project_labels(a), kind="stable")
+        return ordered[::-1] if descending else ordered
+
+    def select(a: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        values = _project_labels(a)
+        if not _is_sorted(values):
+            values.sort()
+        if descending:
+            cut = len(values) - k
+            return values[cut:][::-1], values[:cut]
+        return values[:k], values[k:]
+
+    return OrderMap("descending" if descending else "project-ascending", apply, select)
 
 
 def _depth_vertex_quality(universe: Universe, depth: int,
@@ -302,12 +331,11 @@ def ipp(universe: Universe, data, epsilon: float, delta: float,
                 provided=len(session.remaining))
 
         low_step = session.step
-        select_and_compute(session, SliceComputation(t, None, _ascending_projected_map()), rng)
+        select_and_compute(session, SliceComputation(t, None, _trim_map(False)), rng)
         high_step = session.step
-        select_and_compute(session, SliceComputation(t, None, descending_map()), rng)
+        select_and_compute(session, SliceComputation(t, None, _trim_map(True)), rng)
 
-        # the trim slices leave the remainder unordered; sort it once for both
-        rest = np.sort(session.remaining)
+        rest = session.remaining
         gate = gamma(rest, level) + sample_laplace(1.0 / epsilon, rng)
         if gate >= 3.0 * t / 4.0 + rho and len(rest) > 0:
             return int(one_heavy_round(rest, level, t, epsilon, rng))

@@ -377,6 +377,15 @@ class TestOptimizerCommand:
         assert "line 1" in record["payload"]["error"]
         assert "2^26" in record["payload"]["error"]
 
+    def test_constant_c_that_underflows_delta_is_named(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("0,1\n1,5\n2,3\n")
+        rc, record = run(tmp_path, "c.json",
+                         ["qc-opt", "--seed", "5", "--input", str(path),
+                          "--delta", "0.25", "--constant-c", "100000"])
+        assert rc == 1
+        assert "constant_c" in record["payload"]["error"]
+
     def test_duplicate_rows_error(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("1,5\n1,6\n")

@@ -35,7 +35,7 @@ from slicedp import (
 )
 
 from slicedp.engine import as_elements
-from slicedp.treelog import _ascending_projected_map
+from slicedp.treelog import _trim_map
 from support import (axis_order_oracle, axis_select_oracle, chi_squared_critical,
                      dataset_oracle, planted_box)
 
@@ -216,8 +216,9 @@ class TestCallerArrays:
 
     @pytest.mark.parametrize("order", [ascending_map(), descending_map(), axis_map(0),
                                        axis_map(1, reverse=True),
-                                       embed_order_map(Universe(16)),
-                                       _ascending_projected_map()], ids=lambda o: o.name)
+                                       embed_order_map(Universe(16)), _trim_map(False),
+                                       pytest.param(_trim_map(True), id="descending-trim")],
+                             ids=lambda o: o.name)
     def test_select_and_compute_under_each_map(self, order):
         rng = np.random.default_rng(5)
         data = _read_only(_draw_bits(rng, 16, (200, 2) if order.name.startswith("axis")
@@ -309,25 +310,35 @@ class TestOrderMaps:
     @given(st.sampled_from(["descending", "projected", "projected-rows"]),
            st.one_of(st.integers(0, 40), st.integers(100, 400)),
            st.sampled_from([(0, 3), (0, (1 << 64) - 1), ((1 << 63) - 2, (1 << 63) + 2)]),
+           st.sampled_from(["shuffled", "ascending", "descending"]),
            st.integers(0, 2 ** 32 - 1))
-    def test_trim_selects_match_a_full_sort(self, kind, n, bounds, seed):
+    def test_trim_selects_match_a_full_sort(self, kind, n, bounds, arrangement, seed):
         # ipp's two trim maps: values tie heavily or straddle 2^63, and the
-        # projected map also takes embedded (label, element) rows; numpy
-        # partitions short arrays by sorting them, so some inputs are long
+        # projected map also takes embedded (label, element) rows; inputs come
+        # shuffled, sorted (a level's remainder) or reversed (an embedding's
+        # rows, whose labels do not increase)
         rng = np.random.default_rng(seed)
         a = rng.integers(*bounds, size=n, endpoint=True, dtype=np.uint64)
         if kind == "projected-rows":
             labels = rng.integers(1, 64, size=n, endpoint=True, dtype=np.uint64)
             a = np.column_stack((labels, a))
-        order = descending_map() if kind == "descending" else _ascending_projected_map()
+        if arrangement != "shuffled":
+            a = a[np.lexsort(a.T[::-1]) if a.ndim == 2 else np.argsort(a)]
+            a = a[::-1] if arrangement == "descending" else a
+        order = _trim_map(kind == "descending")
         assert order.select is not None
         out = order.apply(a)
         for k in range(n + 1):
-            head, rest = order.split(a, k)
+            # select may sort its input in place, so each call gets a copy
+            head, rest = order.split(a.copy(), k)
             assert head.dtype == rest.dtype == out.dtype == np.uint64
             assert head.shape == (k,) and rest.shape == (n - k,)
             np.testing.assert_array_equal(head, out[:k])
             np.testing.assert_array_equal(np.sort(rest), np.sort(out[k:]))
+            if 0 < k < n:
+                # split takes `select` here: the rest is sorted ascending
+                assert np.all(rest[:-1] <= rest[1:])
+                assert not np.shares_memory(head, rest)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=30),

@@ -42,6 +42,13 @@ class TestGeometricSampler:
                 expect = math.exp(-eps) ** k * (1.0 - math.exp(-eps))
                 assert geometric_pmf(eps, k) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+    def test_pmf_keeps_its_precision_at_small_epsilon(self, eps):
+        # 1 - e^-eps cancels at small eps; its series to the cubic term is
+        # exact to a relative 1e-19 here
+        assert geometric_pmf(eps, 0) == pytest.approx(eps - eps ** 2 / 2 + eps ** 3 / 6,
+                                                      rel=1e-15, abs=0.0)
+
     def test_rejects_epsilon_out_of_range(self):
         rng = np.random.default_rng(0)
         for eps in (0.0, -1.0, 1.5):

@@ -122,6 +122,23 @@ class TestIncrementDataset:
             out = build_increment_dataset(table, n)
             assert out.size == n
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 40), min_size=1, max_size=60))
+    def test_increments_match_the_difference_formula(self, values):
+        # the gathered rises against the full difference of the table, on
+        # any int64 table, quasi-concave or not, and bitwise
+        module = importlib.import_module("slicedp.quasiconcave")
+        arr = np.array(values, dtype=np.int64)
+        diff = arr - np.concatenate(([0], arr[:-1]))
+        rising = diff > 0
+        expected = np.repeat(np.arange(arr.size, dtype=np.uint64)[rising], diff[rising])
+        out = module._increments(arr)
+        assert out.dtype == expected.dtype == np.uint64
+        np.testing.assert_array_equal(out, expected)
+        if is_quasi_concave(arr) and arr.min() >= 0:
+            np.testing.assert_array_equal(
+                build_increment_dataset(arr, int(arr.max())), expected)
+
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
             build_increment_dataset([1, 0, 1], 1)
@@ -159,6 +176,12 @@ class TestScaledBudget:
             scaled_budget(Universe(1), 100.0, 0.5, constant_c=1)
         with pytest.raises(ValueError):
             scaled_budget(Universe(4), 1.0, 0.5, constant_c=0)
+
+    def test_underflowing_step_delta_names_the_parameters(self):
+        # 0.25^100000 is 0.0 in floating point
+        with pytest.raises(ValueError, match="constant_c=100000") as err:
+            scaled_budget(Universe(4), 1.0, 0.25, constant_c=100000)
+        assert "delta=0.25" in str(err.value)
 
 
 class TestCumulativeInteriorPoint:

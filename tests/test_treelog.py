@@ -204,6 +204,22 @@ class TestEmbedding:
         listed = [(int(y), int(x)) for y, x in rows]
         assert listed == sorted(listed, reverse=True)
 
+    def test_rows_project_to_sorted_labels(self):
+        # a child level projects the embedding's rest read last row first, so
+        # its trims find the labels in order and sort nothing
+        module = importlib.import_module("slicedp.treelog")
+        rng = np.random.default_rng(27)
+        for bits in (4, 16, 64):
+            u = Universe(bits)
+            data = np.concatenate([np.full(50, u.size // 3, dtype=np.uint64),
+                                   rng.integers(0, u.size - 1, size=50, dtype=np.uint64,
+                                                endpoint=True)])
+            rows = embed_order_map(u).apply(data)
+            for k in (0, 1, 60):
+                labels = module._project_labels(rows[k:])
+                assert np.all(labels[:-1] <= labels[1:])
+                assert sorted(labels.tolist()) == sorted((rows[k:, 0] - 1).tolist())
+
 
 class TestBalanceStatistic:
     def test_sensitivity_on_random_pairs(self):
@@ -291,6 +307,25 @@ class TestHeavyPathWalk:
         bits, values = case
         _assert_walk_matches_oracle(np.array(values, dtype=np.uint64), Universe(bits),
                                     seed, 4, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(heavy_path_cases(), st.integers(0, 2 ** 32 - 1), st.integers(1, 60))
+    def test_input_order_changes_no_result_or_draw(self, case, seed, t):
+        # sorted input (a level's remainder) is read without a copy; shuffled
+        # and non-increasing input, ties included, is sorted first
+        bits, values = case
+        u = Universe(bits)
+        ordered = np.sort(np.array(values, dtype=np.uint64))
+        shuffled = np.random.default_rng(seed).permutation(ordered)
+        module = importlib.import_module("slicedp.treelog")
+        assert module._ascending(ordered) is ordered
+        results = []
+        for data in (ordered, shuffled, ordered[::-1]):
+            data.flags.writeable = False
+            rng = np.random.default_rng(seed)
+            results.append((gamma(data, u), one_heavy_round(data, u, t, 1.0, rng),
+                            rng.random()))
+        assert results[0] == results[1] == results[2]
 
 
 class TestOneHeavyRound:
@@ -462,18 +497,23 @@ class TestInteriorPoint:
     @pytest.mark.parametrize("bits,shape", _IPP_SHAPES + [(16, "tent"), (64, "tent")])
     def test_trim_selection_keeps_every_draw(self, monkeypatch, bits, shape):
         # ipp with both trim maps stripped of `select`, so every trim slice
-        # and remainder comes from a full sort, is the oracle of the
-        # partitioning trims and the one sort per level
+        # and remainder comes from a full stable sort, and the descending
+        # trim leaves its remainder reversed, is the oracle of the trims'
+        # sorted views and of the readers' fallback sort
         module = importlib.import_module("slicedp.treelog")
         u = Universe(bits)
         data = _ipp_instance(bits, shape)
+        trim_map = module._trim_map
+
+        def stripped(descending):
+            order = trim_map(descending)
+            return OrderMap(order.name, order.apply)
+
         for seed in range(4):
             fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             fast = ipp(u, data, 1.0, 0.5, fast_rng, enforce_regime=False)
             with monkeypatch.context() as patch:
-                for name in ("descending_map", "_ascending_projected_map"):
-                    order = getattr(module, name)()
-                    patch.setattr(module, name, lambda o=order: OrderMap(o.name, o.apply))
+                patch.setattr(module, "_trim_map", stripped)
                 oracle = ipp(u, data, 1.0, 0.5, oracle_rng, enforce_regime=False)
             assert fast == oracle
             assert fast_rng.random() == oracle_rng.random()
