@@ -11,12 +11,9 @@ import csv
 import functools
 import json
 import math
-import multiprocessing
-import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -27,8 +24,8 @@ from .learners import (learn_rectangles, learn_threshold_realizable, load_labele
                        threshold_sample_size)
 from .quasiconcave import load_qc_csv, qc_optimize
 from .tables import read_int_table
-from .sync import (AuditResult, direct_run, estimate_tv, simulate, sync_gamma,
-                   sync_map_exact_dist, trial_streams)
+from .sync import (AuditResult, direct_run, estimate_tv, holder_calls, run_trials, simulate,
+                   sync_gamma, sync_map_exact_dist, trial_streams)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
                       slice_steps, trim_parameter)
 
@@ -76,13 +73,23 @@ def _record(args: argparse.Namespace, parameters: dict, payload, success: bool,
     }
 
 
-def _emit(record: dict, output_path: Optional[str]) -> None:
-    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+def _dumps(record: dict) -> str:
+    # strict JSON (RFC 8259): a non-finite float is a ValueError, not Infinity
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(text: str, output_path: Optional[str]) -> None:
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _strict(parsed: dict) -> dict:
+    """The parsed flags with each non-finite float as its string, for JSON."""
+    return {key: repr(value) if isinstance(value, float) and not math.isfinite(value)
+            else value for key, value in parsed.items()}
 
 
 def _trial_rng(seed: int, *path: int) -> np.random.Generator:
@@ -183,8 +190,22 @@ def _cmd_qc_opt(args: argparse.Namespace):
     return parameters, payload, True
 
 
+# audit-sync lists 2 (cutoff + 1) outcomes, about 230 bytes of record per
+# cutoff step; 10,000 steps keep the record near 2.3 MB
+MAX_SYNC_CUTOFF = 10_000
+# gamma <= ceil(ln 2 / eps), since t_i = 0 once e^{-i eps} <= 1/2, and the
+# default cutoff is gamma + 1; below this epsilon it could pass the cap
+MIN_SYNC_EPSILON = math.log(2) / (MAX_SYNC_CUTOFF - 1)
+
+
 def _cmd_audit_sync(args: argparse.Namespace):
     epsilon = args.epsilon
+    # checked before sync_gamma counts up to gamma, about ln 2 / eps steps
+    if 0 < epsilon < MIN_SYNC_EPSILON:
+        raise ValueError(f"--epsilon must be at least {MIN_SYNC_EPSILON:.6g}, where gamma "
+                         f"reaches the cutoff cap of {MAX_SYNC_CUTOFF}, got {epsilon}")
+    if args.cutoff is not None and args.cutoff > MAX_SYNC_CUTOFF:
+        raise ValueError(f"--cutoff must be at most {MAX_SYNC_CUTOFF}, got {args.cutoff}")
     gamma_value = sync_gamma(epsilon)
     cutoff = max(gamma_value + 1, 12) if args.cutoff is None else args.cutoff
     dist0 = sync_map_exact_dist(0, epsilon, cutoff)
@@ -234,7 +255,8 @@ def _audit_instance(size: int):
 def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range):
     """Holder-call counts and the simulated and direct outputs of `trials`;
     each trial reads only its own streams, so any split of a range gives
-    the same results in the same order."""
+    the same results in the same order. The count stops at synchronization,
+    which leaves the rest of the trial's own count stream undrawn."""
     data, x, algorithm = _audit_instance(size)
     script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(tau)]
     counts = np.empty(len(trials), dtype=np.int64)
@@ -242,7 +264,7 @@ def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range)
     direct_outputs = []
     streams = zip(*(trial_streams(seed, (role,), trials) for role in range(3)))
     for i, (sim_rng, direct_rng, count_rng) in enumerate(streams):
-        counts[i] = simulate(data, x, 1, script, epsilon, count_rng).holder_calls
+        counts[i] = holder_calls(data, x, 1, script, epsilon, count_rng)
         sim_outputs.append(tuple(simulate(data, x, 0, script, epsilon, sim_rng).published))
         direct_outputs.append(tuple(direct_run(data, script, epsilon, direct_rng)))
     return counts, sim_outputs, direct_outputs
@@ -254,21 +276,9 @@ def _cmd_audit_sim(args: argparse.Namespace):
     if args.size < 0:
         raise ValueError(f"size must be nonnegative, got {args.size}")
     epsilon = args.epsilon
-    # one contiguous part of the trials per CPU: the parent runs part 0 and
-    # forked workers the rest (a spawned worker would import numpy and
-    # slicedp again on every run)
-    workers = min(len(os.sched_getaffinity(0)), args.trials)
-    bounds = [args.trials * w // workers for w in range(workers + 1)]
-    parts = [(args.seed, epsilon, args.tau, args.size, range(lo, hi))
-             for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1:
-        results = [_audit_trials(*parts[0])]
-    else:
-        with ProcessPoolExecutor(workers - 1,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_audit_trials, *part) for part in parts[1:]]
-            results = [_audit_trials(*parts[0])] + [f.result() for f in futures]
-    part_counts, part_sims, part_directs = zip(*results)
+    part_counts, part_sims, part_directs = zip(*run_trials(
+        functools.partial(_audit_trials, args.seed, epsilon, args.tau, args.size),
+        range(args.trials)))
     counts = np.concatenate(part_counts)
     sim_outputs = [out for part in part_sims for out in part]
     direct_outputs = [out for part in part_directs for out in part]
@@ -361,8 +371,16 @@ def _cmd_sweep(args: argparse.Namespace):
 
 
 def _cmd_account(args: argparse.Namespace):
-    cost = privacy_cost(args.epsilon, args.delta, args.tau, args.k, args.delta_hat,
-                        args.applications)
+    try:
+        cost = privacy_cost(args.epsilon, args.delta, args.tau, args.k, args.delta_hat,
+                            args.applications)
+        finite = math.isfinite(cost.epsilon) and math.isfinite(cost.delta)
+    except OverflowError:  # an integer flag too large for a float
+        finite = False
+    if not finite:
+        raise ValueError("the accounted totals overflow a float: epsilon_total grows with "
+                         "--epsilon, --applications and --k, delta_total with --delta, "
+                         "--k and --tau")
     cap = holder_call_cap(args.delta_hat)
     parameters = {"epsilon_step": args.epsilon, "delta_step": args.delta,
                   "tau": args.tau, "k": args.k, "delta_hat": args.delta_hat,
@@ -483,10 +501,18 @@ def main(argv=None) -> int:
             payload["provided"] = exc.provided
             payload["violated_inequality"] = f"n = {exc.provided} < {exc.required}"
     try:
-        _emit(_record(args, parameters, payload, success, started), args.output)
+        text = _dumps(_record(args, parameters, payload, success, started))
+    except ValueError as exc:
+        # a non-finite float; the flags are echoed with such values spelled out
+        if "error" not in payload:
+            payload = {"error": f"the record cannot be written as JSON: {exc}"}
+        success = False
+        text = _dumps(_record(args, _strict(parsed), payload, False, started))
+    try:
+        _emit(text, args.output)
     except OSError as exc:
         payload = {"error": f"cannot write the record to {args.output}: {exc.strerror or exc}"}
-        _emit(_record(args, parsed, payload, False, started), None)
+        _emit(_dumps(_record(args, _strict(parsed), payload, False, started)), None)
         return 1
     return 0 if success else 1
 

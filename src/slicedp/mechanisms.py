@@ -65,7 +65,13 @@ def sample_geometric(epsilon: float, rng: np.random.Generator) -> int:
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return int(rng.geometric(1.0 - math.exp(-epsilon))) - 1
+    # not -expm1(-eps): that moves p by an ulp at common epsilons, and with
+    # it the seeded draws
+    p = 1.0 - math.exp(-epsilon)
+    if p == 0.0:
+        raise ValueError(f"epsilon must exceed 2^-54 (about 5.6e-17); at or below it "
+                         f"1 - e^-epsilon rounds to 0, got {epsilon}")
+    return int(rng.geometric(p)) - 1
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:

@@ -9,9 +9,14 @@ is the audit harness.
 """
 
 import math
+import os
+import pickle
+import signal
+import traceback
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Iterator, List, NamedTuple, NoReturn, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -174,7 +179,9 @@ def _stay_probability(b: int, m: int, epsilon: float) -> float:
     t_m e^{(m+1) eps} for b = 1."""
     if b == 0 and m == 0:
         return math.exp(-epsilon)
-    return sync_threshold(epsilon, m) * math.exp((m + b) * epsilon)
+    # t_m is 0 from gamma on, where e^{(m + b) eps} may overflow
+    threshold = sync_threshold(epsilon, m)
+    return threshold * math.exp((m + b) * epsilon) if threshold else 0.0
 
 
 def sync_map(b: int, m: int, epsilon: float, rng: np.random.Generator) -> SyncOutcome:
@@ -283,6 +290,60 @@ class DataHolder:
         return algorithm(self.stored[step])
 
 
+def _start(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
+           rng: np.random.Generator):
+    """Checks `simulate`'s inputs; returns the holder and the step loop."""
+    if not script:
+        raise ValueError(f"tau must be at least 1, got {len(script)}")
+    _check_epsilon(epsilon)
+    x_cur = as_elements(x, 64)
+    if x_cur.ndim:
+        raise ValueError(f"x must be one element, got an array of shape {x_cur.shape}")
+    holder = DataHolder(b, epsilon, rng)
+    current = as_elements(data, 64)
+    if current.ndim != 1:
+        raise ValueError(f"data must be 1-D, got an array of shape {current.shape}")
+    return holder, _steps(current, x_cur, holder, script, epsilon, rng)
+
+
+def _steps(current: np.ndarray, x_cur, holder: DataHolder,
+           script: Sequence[SliceComputation], epsilon: float, rng: np.random.Generator):
+    """`simulate`'s step loop. Yields, per step, the published result, the
+    slice the simulator kept (None when the holder took the step) and the
+    diff element, which is None from synchronization on."""
+    status = 0
+    for i, spec in enumerate(script):
+        mapped = spec.map.apply(current)
+        if status == 0:
+            with_x = np.empty(len(current) + 1, dtype=np.uint64)
+            with_x[:-1] = current
+            with_x[-1] = x_cur
+            mapped_with = spec.map.apply(with_x)
+            if mapped.shape == mapped_with.shape and (mapped == mapped_with).all():
+                status = 1  # map eliminated the diff element
+        m_hat = spec.m + sample_geometric(epsilon, rng)
+        if status == 0:
+            x_prime, p = _diff_and_rank(mapped, mapped_with)
+        kept = None
+        if status == 1 or m_hat < p:
+            # this round does not involve the diff element
+            kept = mapped[:m_hat]
+            current = mapped[m_hat:]
+            if status == 0:
+                x_cur = x_prime
+            result = spec.algorithm(kept) if spec.algorithm else None
+        else:
+            q_hat, beta, result = holder.query((mapped, mapped_with), max(p, spec.m),
+                                               spec.algorithm, step=i)
+            current = mapped[q_hat:]
+            if beta == 1 or q_hat > len(mapped):
+                # synchronized, or both executions exhausted with equal remainders
+                status = 1
+            else:
+                x_cur = mapped[q_hat - 1]
+        yield result, kept, None if status == 1 else x_cur
+
+
 def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
              rng: np.random.Generator, delayed: Optional[Sequence[Tuple[int, Callable]]] = None
              ) -> SimTranscript:
@@ -298,51 +359,13 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     `data` must be 1-D, x one element and the script nonempty; anything else
     is a ValueError.
     """
-    if not script:
-        raise ValueError(f"tau must be at least 1, got {len(script)}")
-    _check_epsilon(epsilon)
-    x_cur = as_elements(x, 64)
-    if x_cur.ndim:
-        raise ValueError(f"x must be one element, got an array of shape {x_cur.shape}")
-    holder = DataHolder(b, epsilon, rng)
-    current = as_elements(data, 64)
-    if current.ndim != 1:
-        raise ValueError(f"data must be 1-D, got an array of shape {current.shape}")
-    status = 0
+    holder, steps = _start(data, x, b, script, epsilon, rng)
     published = []
-    holder_steps = []
     sim_slices = {}
-
-    for i, spec in enumerate(script):
-        mapped = spec.map.apply(current)
-        if status == 0:
-            with_x = np.empty(len(current) + 1, dtype=np.uint64)
-            with_x[:-1] = current
-            with_x[-1] = x_cur
-            mapped_with = spec.map.apply(with_x)
-            if mapped.shape == mapped_with.shape and (mapped == mapped_with).all():
-                status = 1  # map eliminated the diff element
-        m_hat = spec.m + sample_geometric(epsilon, rng)
-        if status == 0:
-            x_prime, p = _diff_and_rank(mapped, mapped_with)
-        if status == 1 or m_hat < p:
-            # this round does not involve the diff element
-            slice_part = sim_slices[i] = mapped[:m_hat]
-            current = mapped[m_hat:]
-            if status == 0:
-                x_cur = x_prime
-            result = spec.algorithm(slice_part) if spec.algorithm else None
-        else:
-            q_hat, beta, result = holder.query((mapped, mapped_with), max(p, spec.m),
-                                               spec.algorithm, step=i)
-            holder_steps.append(i)
-            current = mapped[q_hat:]
-            if beta == 1 or q_hat > len(mapped):
-                # synchronized, or both executions exhausted with equal remainders
-                status = 1
-            else:
-                x_cur = mapped[q_hat - 1]
+    for i, (result, kept, diff) in enumerate(steps):
         published.append(result)
+        if kept is not None:
+            sim_slices[i] = kept
 
     received = set()
     for step, algorithm in delayed or []:
@@ -352,9 +375,24 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
         published.append(holder.delayed(step, algorithm) if step in holder.stored
                          else algorithm(sim_slices[step]))
 
+    holder_steps = list(holder.stored)
     return SimTranscript(published=published, holder_calls=len(holder_steps),
-                         holder_steps=holder_steps, final_status=status,
-                         final_diff=None if status == 1 else int(x_cur))
+                         holder_steps=holder_steps, final_status=int(diff is None),
+                         final_diff=None if diff is None else int(diff))
+
+
+def holder_calls(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
+                 rng: np.random.Generator) -> int:
+    """`simulate(data, x, b, script, epsilon, rng).holder_calls`, counted by
+    running the steps only until the simulator synchronizes: no later step
+    calls the holder. The draws those steps would take are left in `rng`,
+    so the count equals simulate's for any rng, but the rng's state after
+    the call differs once the run synchronizes before the script ends."""
+    holder, steps = _start(data, x, b, script, epsilon, rng)
+    for _, _, diff in steps:
+        if diff is None:
+            break
+    return len(holder.stored)
 
 
 def direct_run(data, script: Sequence[SliceComputation], epsilon: float,
@@ -394,6 +432,101 @@ def audit_call_count(data, x: int, b: int, script, epsilon: float, trials: int,
     return AuditResult.from_counts(np.array(
         [simulate(data, x, b, script, epsilon, rng).holder_calls for _ in range(trials)],
         dtype=np.int64))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback a forked part sent with its exception; raised as the
+    cause of the re-raised exception, so a printed traceback shows both."""
+
+
+def _run_in_child(part: Callable, trials: range, pipe: int) -> NoReturn:
+    """The forked side of `run_trials`: sends (ok, result or exception,
+    traceback) pickled through the pipe and exits without running the
+    parent's exit handlers or flushing its buffers."""
+    code = 1
+    try:
+        try:
+            message = pickle.dumps((True, part(trials), None))
+        except BaseException as exc:  # sent to the parent, which raises it
+            message = pickle.dumps((False, exc, traceback.format_exc()))
+            try:
+                pickle.loads(message)
+            except Exception:  # an exception that does not survive pickling
+                message = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}"),
+                                        traceback.format_exc()))
+        with open(pipe, "wb") as out:
+            out.write(message)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork(part: Callable, trials: range, inherited: List[int]) -> Tuple[int, int]:
+    """(pid, read end of its pipe) of a child that runs `part(trials)`."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        for fd in (read_end, *inherited):
+            os.close(fd)
+        _run_in_child(part, trials, write_end)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _received(number: int, pid: int, trials: range, status: int, message: bytes):
+    """The result a reaped child sent, or its failure raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"trial worker {number} (pid {pid}, trials {trials[0]} to "
+                           f"{trials[-1]}) {how} before reporting its results")
+    ok, value, remote_traceback = pickle.loads(message)
+    if not ok:
+        raise value from _WorkerTraceback(remote_traceback)
+    return value
+
+
+def run_trials(part: Callable[[range], Any], trials: range) -> list:
+    """`[part(chunk) for chunk in chunks]` over contiguous chunks of
+    `trials`, one per CPU this process may run on (at most one per trial).
+
+    The caller runs the first chunk. Each other chunk runs in a child made
+    by `os.fork`, so `part` reaches it without pickling (lambdas and
+    closures included), and only its result is pickled back through a pipe.
+    Results are read in chunk order. A child's exception is raised here with
+    the child's traceback as its cause; a child that dies without reporting
+    is a RuntimeError that names it. Every child is reaped before this
+    returns or raises, and on a failure the ones still running are killed
+    first. `part` should read only randomness keyed by its trials, so that
+    the results do not depend on the number of CPUs.
+    """
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(trials)))
+    bounds = [len(trials) * w // workers for w in range(workers + 1)]
+    chunks = [trials[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end) of chunks[1:], in order
+    reaped = 0
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork(part, chunk, [fd for _, fd in children]))
+        results = [part(chunks[0])]
+        for number, (pid, read_end) in enumerate(children, 1):
+            with open(read_end, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            results.append(_received(number, pid, chunks[number], status, message))
+        return results
+    finally:
+        for pid, _ in children[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, read_end in children:
+            os.close(read_end)
 
 
 def estimate_tv(samples_a: Sequence, samples_b: Sequence) -> float:

@@ -1,9 +1,9 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicedp import cli
+from slicedp import cli, sync_gamma
 from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
+from slicedp.sync import run_trials
+from slicedp.treelog import RegimeError
 from support import audit_trials_oracle
 
 RECORD_KEYS = {"schema_version", "command", "parameters", "payload",
@@ -43,6 +45,10 @@ class TestLoadDataset:
         path.write_text("300\n")
         with pytest.raises(ValueError, match="out of range"):
             load_dataset(path, 8)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 class TestRecordShape:
@@ -77,6 +83,25 @@ class TestRecordShape:
         record = json.loads(captured.out)
         assert record["command"] == "account" and record["success"] is True
         assert "total epsilon" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "1e308", "--applications", "10"],
+        ["--applications", str(10 ** 400)],
+    ], ids=["infinite-total", "integer-past-float"])
+    def test_overflowing_account_is_a_strict_failure_record(self, argv, capsys):
+        rc = main(["account", "--seed", "1", "--tau", "2", *argv])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out, parse_constant=_no_constant)
+        assert rc == 1 and record["success"] is False
+        assert "--epsilon" in record["payload"]["error"]
+        assert "--applications" in record["payload"]["error"]
+        assert "Traceback" not in captured.err
+
+    def test_non_finite_flag_is_echoed_as_strict_json(self, capsys):
+        rc = main(["account", "--seed", "1", "--tau", "2", "--epsilon", "inf"])
+        record = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert rc == 1 and record["parameters"]["epsilon"] == "inf"
+        assert record["payload"] == {"error": "epsilon must be finite and nonnegative, got inf"}
 
     def test_bad_seed_is_a_structured_error(self, tmp_path):
         rc, record = run(tmp_path, "err.json",
@@ -413,6 +438,34 @@ class TestAuditCommands:
         assert rc == 1
         assert record["payload"]["error"] == "cutoff must be at least gamma + 1 = 2, got 0"
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--epsilon", "1e-6"], "--epsilon"),
+        (["--epsilon", "5e-324"], "--epsilon"),
+        (["--cutoff", str(cli.MAX_SYNC_CUTOFF + 1)], "--cutoff"),
+    ])
+    def test_sync_outcome_list_is_capped(self, tmp_path, argv, flag):
+        started = time.monotonic()
+        rc, record = run(tmp_path, "cap.json", ["audit-sync", "--seed", "5", *argv])
+        assert rc == 1 and record["payload"]["error"].startswith(f"{flag} must be")
+        assert time.monotonic() - started < 5
+
+    def test_sync_cap_admits_its_smallest_epsilon(self):
+        assert sync_gamma(cli.MIN_SYNC_EPSILON) + 1 <= cli.MAX_SYNC_CUTOFF
+
+    def test_sync_cutoff_past_the_overflow_of_e_to_the_m_eps(self, tmp_path, capsys):
+        # at eps 0.5, e^{(m + 1) eps} overflows from m = 1419 on
+        rc, record = run(tmp_path, "big.json", ["audit-sync", "--seed", "5",
+                                                "--cutoff", "1500"])
+        assert record["parameters"]["cutoff"] == 1500
+        assert len(record["payload"]["outcomes"]) == 2 * 1501
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sim_audit_epsilon_below_the_draw_floor_is_named(self, tmp_path):
+        rc, record = run(tmp_path, "tiny.json", ["audit-sim", "--seed", "5", "--trials", "3",
+                                                 "--epsilon", "1e-300"])
+        assert rc == 1
+        assert record["payload"]["error"].startswith("epsilon must exceed 2^-54")
+
     def test_sim_audit_counts_and_tv(self, tmp_path):
         rc, record = run(tmp_path, "sim.json",
                          ["audit-sim", "--seed", "5", "--epsilon", "0.5",
@@ -483,7 +536,7 @@ class TestParallelAuditTrials:
         rc, record = run(tmp_path, "sim.json", ["audit-sim", "--seed", "5",
                                                 "--trials", "30"])
         assert rc == 0 and sum(h["frequency"] for h in record["payload"]["histogram"]) == 30
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
 
     def test_worker_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
         parent, original = os.getpid(), cli.simulate
@@ -500,7 +553,81 @@ class TestParallelAuditTrials:
         assert rc == 1 and record["success"] is False
         assert record["payload"] == {"error": "worker failed"}
         assert "ZeroDivisionError" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
+
+    def test_worker_that_dies_unreported_is_a_failure_record(self, tmp_path, monkeypatch,
+                                                             capsys):
+        parent, original = os.getpid(), cli.simulate
+
+        def dies_in_workers(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "simulate", dies_in_workers)
+        _cpus(monkeypatch, 3)
+        rc, record = run(tmp_path, "dead.json", ["audit-sim", "--seed", "5",
+                                                 "--trials", "30"])
+        assert rc == 1 and record["success"] is False
+        error = record["payload"]["error"]
+        assert error.startswith("trial worker 1 (pid ") and "trials 10 to 19" in error
+        assert "exited with status 3" in error
+        assert "EOFError" not in capsys.readouterr().err
+        _assert_no_children()
+
+
+def _assert_no_children():
+    # every forked worker has been reaped; `multiprocessing.active_children`
+    # cannot see raw forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunTrials:
+    def test_parts_run_in_order_across_forks(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        results = run_trials(lambda trials: (os.getpid(), list(trials)), range(7))
+        assert [trials for _, trials in results] == [[0, 1], [2, 3], [4, 5, 6]]
+        pids = [pid for pid, _ in results]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus,trials,parts", [(1, 5, 1), (4, 2, 2), (2, 0, 1)])
+    def test_at_most_one_part_per_cpu_and_per_trial(self, monkeypatch, cpus, trials, parts):
+        _cpus(monkeypatch, cpus)
+        results = run_trials(lambda part: (os.getpid(), part), range(trials))
+        assert len(results) == parts
+        assert [t for _, part in results for t in part] == list(range(trials))
+        assert results[0][0] == os.getpid()
+        assert len({pid for pid, _ in results}) == parts
+
+    def test_a_failing_parent_part_kills_the_workers(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def part(trials):
+            if os.getpid() == parent:
+                raise KeyError("parent part failed")
+            time.sleep(600)
+
+        started = time.monotonic()
+        with pytest.raises(KeyError, match="parent part failed"):
+            run_trials(part, range(2))
+        assert time.monotonic() - started < 60
+        _assert_no_children()
+
+    def test_an_exception_that_does_not_unpickle_is_still_reported(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def part(trials):
+            if os.getpid() != parent:
+                raise RegimeError("too few points", 10, 3)
+            return list(trials)
+
+        with pytest.raises(RuntimeError, match="RegimeError: too few points"):
+            run_trials(part, range(4))
+        _assert_no_children()
 
 
 class TestAuditStreams:

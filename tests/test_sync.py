@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicedp import (
@@ -17,6 +17,7 @@ from slicedp import (
     descending_map,
     direct_run,
     estimate_tv,
+    holder_calls,
     sample_geometric,
     simulate,
     sync_gamma,
@@ -283,6 +284,8 @@ class TestSimulate:
     def test_what_it_cannot_simulate_is_a_value_error(self, data, x, message):
         with pytest.raises(ValueError, match=message):
             simulate(data, x, 1, _script(), 0.5, np.random.default_rng(18))
+        with pytest.raises(ValueError, match=message):
+            holder_calls(data, x, 1, _script(), 0.5, np.random.default_rng(18))
 
     def test_empty_script_raises_like_direct_run(self):
         rng = np.random.default_rng(19)
@@ -290,6 +293,8 @@ class TestSimulate:
             direct_run([1, 3], [], 0.5, rng)
         with pytest.raises(ValueError, match=re.escape(str(direct.value))):
             simulate([1, 3], 0, 1, [], 0.5, rng)
+        with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+            holder_calls([1, 3], 0, 1, [], 0.5, rng)
 
 
 def _slice_tuple(arr):
@@ -381,6 +386,52 @@ class TestSimulateMatchesListOracle:
             _diff_and_rank_oracle([int(v) for v in short], [int(v) for v in long])
         with pytest.raises(ValueError, match=re.escape(str(old.value))):
             _diff_and_rank(short, long)
+
+
+_CUT = 32
+_COUNTED_MAPS = {"ascending": ascending_map(), "descending": descending_map(),
+                 # drops every element from _CUT up, so a diff element there
+                 # synchronizes at its first step without a holder call
+                 "below-cut": OrderMap("below-cut", lambda a: np.sort(a[a < _CUT]))}
+
+
+@st.composite
+def _counted_sessions(draw):
+    size = draw(st.integers(0, 40))
+    data = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+    x = draw(st.integers(0, 40))
+    script = [SliceComputation(m=draw(st.integers(0, 3)), algorithm=_slice_tuple,
+                               map=_COUNTED_MAPS[draw(st.sampled_from(sorted(_COUNTED_MAPS)))])
+              for _ in range(draw(st.integers(1, 8)))]
+    return data, x, script
+
+
+class TestHolderCalls:
+    @settings(max_examples=300, deadline=None)
+    @given(_counted_sessions(), st.integers(0, 1), st.sampled_from([0.1, 0.5, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    # the diff element is dropped at step 0: synchronized with no holder call
+    @example(([1, 2, 3], 35, [SliceComputation(1, _slice_tuple, _COUNTED_MAPS["below-cut"])] * 3),
+             1, 0.5, 0)
+    # x sorts first and two elements run out long before 8 steps of m = 3
+    @example(([5, 6], 0, [SliceComputation(3, _slice_tuple, ascending_map())] * 8), 1, 0.1, 3)
+    def test_equals_the_full_simulation(self, session, b, epsilon, seed):
+        data, x, script = session
+        rng_full, rng_counted = np.random.default_rng(seed), np.random.default_rng(seed)
+        full = simulate(data, x, b, script, epsilon, rng_full)
+        assert holder_calls(data, x, b, script, epsilon, rng_counted) == full.holder_calls
+        if full.final_status == 0:
+            # never synchronized, so the count ran every step and drew as much
+            assert rng_counted.random() == rng_full.random()
+
+    def test_stops_drawing_at_synchronization(self):
+        # x = 35 is dropped at step 0, so the count takes that step's one
+        # draw and none of the nine after it
+        script = [SliceComputation(1, _slice_tuple, _COUNTED_MAPS["below-cut"])] * 10
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        assert holder_calls([1, 2, 3], 35, 1, script, 0.5, rng) == 0
+        sample_geometric(0.5, reference)
+        assert rng.random() == reference.random()
 
 
 class TestCallCountAudit:
