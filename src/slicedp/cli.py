@@ -31,6 +31,13 @@ from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
 
 SCHEMA_VERSION = 1
 
+# caps checked before anything is allocated: `audit-sim` and `sweep` hold
+# state per trial, and `audit-sim` builds a script of --tau steps over an
+# instance of --size elements
+MAX_TRIALS = 1_000_000
+MAX_AUDIT_TAU = 10_000
+MAX_AUDIT_SIZE = 1_000_000
+
 
 def _check_common(args: argparse.Namespace) -> None:
     """The parameter checks every subcommand shares, in a fixed order."""
@@ -42,8 +49,13 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ValueError(f"delta must lie in [0, 1), got {args.delta}")
     if "trials" in args and args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
-    if "bits" in args and not (1 <= args.bits <= 64):
-        raise ValueError(f"bits must lie in [1, 64], got {args.bits}")
+    if "trials" in args and args.trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {args.trials}")
+    # `sweep` takes its bit lengths as a list, the other commands as one value
+    given = vars(args).get("bits_list") or ([args.bits] if "bits" in args else [])
+    for bits in given:
+        if not (1 <= bits <= 64):
+            raise ValueError(f"bits must lie in [1, 64], got {bits}")
 
 
 def load_dataset(path, bit_length: int) -> np.ndarray:
@@ -131,6 +143,9 @@ def _cmd_ipp(args: argparse.Namespace):
 
 def _cmd_learn_threshold(args: argparse.Namespace):
     sample = load_labeled_csv(args.input, args.bits)
+    if sample.points.ndim != 1:
+        raise ValueError(f"{args.input}: learn-threshold takes one coordinate per row, "
+                         f"got {sample.points.shape[1]}")
     xi, beta = args.xi, args.beta
     if not (0.0 < xi < 1.0 and 0.0 < beta < 1.0):
         raise ValueError("xi and beta must lie in (0, 1)")
@@ -212,14 +227,17 @@ def _cmd_audit_sync(args: argparse.Namespace):
     dist1 = sync_map_exact_dist(1, epsilon, cutoff)
     p0 = dict(dist0.outcomes)
     p1 = dict(dist1.outcomes)
-    lo, hi = math.exp(-epsilon) - 1e-9, math.exp(epsilon) + 1e-9
+    log0, log1 = dict(dist0.log_outcomes), dict(dist1.log_outcomes)
+    # the ratio rule in log space, where no listed outcome underflows
+    lo, hi = math.log(math.exp(-epsilon) - 1e-9), math.log(math.exp(epsilon) + 1e-9)
 
     outcomes = []
     ratio_ok = True
     for key in sorted(set(p0) | set(p1)):
         a, b = p0.get(key, 0.0), p1.get(key, 0.0)
-        if a > 0.0 or b > 0.0:
-            if a <= 0.0 or b <= 0.0 or not (lo <= a / b <= hi):
+        la, lb = log0.get(key, -math.inf), log1.get(key, -math.inf)
+        if la > -math.inf or lb > -math.inf:
+            if la == -math.inf or lb == -math.inf or not (lo <= la - lb <= hi):
                 ratio_ok = False
         outcomes.append({"alpha": key[0], "beta": key[1], "p0": a, "p1": b})
     mass_ok = abs(sum(p0.values()) + dist0.tail - 1.0) <= 1e-12 and \
@@ -275,6 +293,9 @@ def _cmd_audit_sim(args: argparse.Namespace):
         raise ValueError(f"tau must be at least 1, got {args.tau}")
     if args.size < 0:
         raise ValueError(f"size must be nonnegative, got {args.size}")
+    if args.tau > MAX_AUDIT_TAU or args.size > MAX_AUDIT_SIZE:
+        raise ValueError(f"tau and size must be at most {MAX_AUDIT_TAU} and {MAX_AUDIT_SIZE}, "
+                         f"got {args.tau} and {args.size}")
     epsilon = args.epsilon
     part_counts, part_sims, part_directs = zip(*run_trials(
         functools.partial(_audit_trials, args.seed, epsilon, args.tau, args.size),

@@ -53,7 +53,8 @@ class LabeledSample:
 @dataclass(frozen=True)
 class Hypothesis:
     """Either a threshold (predict 1 iff x <= threshold), a product rectangle,
-    or the all-zero predictor."""
+    or the all-zero predictor. A rectangle of one interval also predicts on
+    1-D points, as `learn_rectangles` learns from them."""
 
     threshold: Optional[int] = None
     rectangle: Optional[List[Tuple[int, int]]] = None
@@ -74,10 +75,12 @@ class Hypothesis:
             return np.zeros(arr.shape[0], dtype=np.int64)
         if self.threshold is not None:
             return (arr <= np.uint64(self.threshold)).astype(np.int64)
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
         inside = np.ones(arr.shape[0], dtype=bool)
         for axis, (a, b) in enumerate(self.rectangle):
-            coord = arr[:, axis]
-            inside &= (coord >= np.uint64(a)) & (coord <= np.uint64(b))
+            # a <= c <= b as one compare: c - a wraps past b - a when c < a
+            inside &= (arr[:, axis] - np.uint64(a)) <= np.uint64(b - a)
         return inside.astype(np.int64)
 
 
@@ -93,7 +96,11 @@ def threshold_sample_size(universe: Universe, xi: float, beta: float,
     1 - beta: the window misclassifies at most 2 * window points, and a
     Chernoff argument converts the empirical gap to generalization."""
     window = boundary_window_size(universe, epsilon, delta)
-    return math.ceil((4.0 / xi) * (2.0 * window + math.log(2.0 / beta)))
+    size = (4.0 / xi) * (2.0 * window + math.log(2.0 / beta))
+    if not math.isfinite(size):
+        raise ValueError(f"sample size (4/xi)(2 window + ln(2/beta)) overflows at "
+                         f"xi={xi}, beta={beta}")
+    return math.ceil(size)
 
 
 def learn_threshold_realizable(sample: LabeledSample, xi: float, beta: float,
@@ -178,14 +185,17 @@ def load_labeled_csv(path, bit_length: int) -> LabeledSample:
         raise ValueError(f"{path}: labeled file has no rows")
     if values.shape[1] < 2:
         raise table.error(0, "need at least one coordinate and a label")
-    points, labels = values[:, :-1], values[:, -1]
-    table.reject(labels > 1, lambda i: f"label must be 0 or 1, got {labels[i]}")
+    # contiguous rows: the coordinate check, the learners' row gathers and
+    # `predict` read a view that skips the label column several times slower
+    points, labels = np.ascontiguousarray(values[:, :-1]), values[:, -1]
     try:
-        # `as_elements` checks the coordinates with one reduction on every
-        # load; the row mask is built only when that check fails
+        # `LabeledSample` checks the labels and the coordinates with a few
+        # reductions on every load; the row masks that name the line are
+        # built only when a check fails, labels first
         return LabeledSample(points=points[:, 0] if points.shape[1] == 1 else points,
                              labels=labels, universe=Universe(bit_length))
     except ValueError:
+        table.reject(labels > 1, lambda i: f"label must be 0 or 1, got {labels[i]}")
         limit = 1 << bit_length
         if bit_length < 64:
             table.reject((points >= np.uint64(limit)).any(axis=1), lambda i: (

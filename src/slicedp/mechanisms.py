@@ -106,7 +106,13 @@ def exponential_mechanism(candidates: Sequence, q: QualityFunction, dataset,
 
 def choosing_error_bound(epsilon: float, delta: float, beta: float, k: int, n: int) -> float:
     """Additive error the choosing mechanism guarantees: (16/eps) * ln(4kn / (beta eps delta))."""
-    return (16.0 / epsilon) * math.log(4.0 * k * max(n, 1) / (beta * epsilon * delta))
+    product = beta * epsilon * delta
+    ratio = 4.0 * k * max(n, 1) / product if product else math.inf
+    if math.isinf(ratio):
+        # the product underflows, so the logarithm is taken term by term
+        return (16.0 / epsilon) * (math.log(4.0 * k * max(n, 1)) - math.log(beta)
+                                   - math.log(epsilon) - math.log(delta))
+    return (16.0 / epsilon) * math.log(ratio)
 
 
 def choosing_mechanism(q: QualityFunction, dataset, epsilon: float, delta: float,

@@ -91,6 +91,9 @@ def scaled_budget(universe: Universe, epsilon: float, delta: float,
     delta_p = (delta ** constant_c) / (1 << ls)
     if eps_p > 1.0:
         raise ValueError(f"epsilon {epsilon} too large: scaled step budget exceeds 1")
+    if eps_p == 0.0:
+        raise ValueError(f"epsilon {epsilon} too small: the scaled step epsilon "
+                         f"eps / (C 2^log*|X|) underflows to 0")
     if delta_p == 0.0:
         raise ValueError(f"constant_c={constant_c} with delta={delta}: the scaled step "
                          f"delta delta^C / 2^log*|X| underflows to 0")
@@ -254,4 +257,10 @@ def load_qc_csv(path) -> QcInstance:
         table.reject(repeated, lambda i: f"duplicate solution index {y[i]}")
     scores = np.zeros(seen.size, dtype=np.int64)
     scores[y] = score
-    return QcInstance(scores)
+    try:
+        return QcInstance(scores)
+    except ValueError as exc:
+        # the table's checks run once; a failing load names the file, and
+        # the line of a negative score
+        table.reject(score < 0, lambda i: f"negative score {score[i]}")
+        raise ValueError(f"{path}: {exc}") from None

@@ -150,6 +150,9 @@ class SyncOutcome(NamedTuple):
 class SyncDist(NamedTuple):
     outcomes: List[Tuple[Tuple[int, int], float]]  # ((alpha, beta), probability)
     tail: float  # aggregate mass on alpha > cutoff
+    # ((alpha, beta), natural log of the probability), -inf for mass 0; far
+    # out a probability underflows, but its log does not
+    log_outcomes: List[Tuple[Tuple[int, int], float]]
 
 
 def _check_epsilon(epsilon: float):
@@ -213,23 +216,20 @@ def sync_map_exact_dist(b: int, epsilon: float, cutoff: int) -> SyncDist:
     if cutoff < gamma + 1:
         raise ValueError(f"cutoff must be at least gamma + 1 = {gamma + 1}, got {cutoff}")
 
-    out = {}
-    if b == 0:
-        for i in range(cutoff + 1):
-            stay = _stay_probability(0, i, epsilon)
-            out[(i, 0)] = geometric_pmf(epsilon, i) * stay
-            out[(i, 1)] = geometric_pmf(epsilon, i) * (1.0 - stay)
-        tail = math.exp(-(cutoff + 1) * epsilon)
-    else:
-        out[(0, 0)] = geometric_pmf(epsilon, 0)
-        for i in range(1, cutoff + 2):
-            stay = _stay_probability(1, i, epsilon)
-            if i <= cutoff:
-                out[(i, 0)] = out.get((i, 0), 0.0) + geometric_pmf(epsilon, i) * stay
-            out[(i - 1, 1)] = geometric_pmf(epsilon, i) * (1.0 - stay)
-        tail = math.exp(-(cutoff + 2) * epsilon)
-    outcomes = sorted(out.items())
-    return SyncDist(outcomes, tail)
+    log_q = math.log(-math.expm1(-epsilon))
+    out, logs = {}, {}
+    # draw i lands on (i, 0) with the stay probability, else on (i - b, 1);
+    # for b = 1 a draw of 0 always stays, and draw cutoff + 1 lists only
+    # its move to (cutoff, 1)
+    for i in range(cutoff + 1 + b):
+        stay = 1.0 if b == 1 and i == 0 else _stay_probability(b, i, epsilon)
+        for key, share in (((i, 0), stay), ((i - b, 1), 1.0 - stay)):
+            if key[0] < 0 or key[0] > cutoff:
+                continue
+            out[key] = geometric_pmf(epsilon, i) * share
+            logs[key] = log_q - i * epsilon + math.log(share) if share > 0.0 else -math.inf
+    tail = math.exp(-(cutoff + 1 + b) * epsilon)
+    return SyncDist(sorted(out.items()), tail, sorted(logs.items()))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -453,12 +455,35 @@ class TestAuditCommands:
         assert sync_gamma(cli.MIN_SYNC_EPSILON) + 1 <= cli.MAX_SYNC_CUTOFF
 
     def test_sync_cutoff_past_the_overflow_of_e_to_the_m_eps(self, tmp_path, capsys):
-        # at eps 0.5, e^{(m + 1) eps} overflows from m = 1419 on
-        rc, record = run(tmp_path, "big.json", ["audit-sync", "--seed", "5",
-                                                "--cutoff", "1500"])
-        assert record["parameters"]["cutoff"] == 1500
-        assert len(record["payload"]["outcomes"]) == 2 * 1501
+        # at eps 0.5, e^{(m + 1) eps} overflows from m = 1419 on, and the
+        # outcomes' probabilities underflow from alpha 1488 on
+        for cutoff in (1500, cli.MAX_SYNC_CUTOFF):
+            rc, record = run(tmp_path, "big.json", ["audit-sync", "--seed", "5",
+                                                    "--cutoff", str(cutoff)])
+            assert record["parameters"]["cutoff"] == cutoff
+            assert len(record["payload"]["outcomes"]) == 2 * (cutoff + 1)
+            assert "Traceback" not in capsys.readouterr().err
+            assert rc == 0
+            assert all(record["payload"]["checks"].values())
+
+    def test_sweep_at_a_delta_whose_square_underflows(self, tmp_path, capsys):
+        # beta * eps * delta, with beta = delta, underflows in the choosing
+        # mechanism's error bound
+        rc, record = run(tmp_path, "sweep.json", ["sweep", "--seed", "5", "--epsilon", "1",
+                                                  "--delta", "1e-300", "--trials", "1",
+                                                  "--bits", "8"])
         assert "Traceback" not in capsys.readouterr().err
+        assert rc == 0 and record["payload"]["rows"][0]["minimal_n"] > 0
+
+    @pytest.mark.parametrize("stay", [lambda b, m, eps: 0.5,
+                                      lambda b, m, eps: float(b == 0 and m < 3)])
+    def test_sync_ratio_check_catches_a_wrong_map(self, tmp_path, monkeypatch, stay):
+        # a constant stay probability breaks the ratio at (0, 0); one that is
+        # 1 or 0 gives outcomes of mass 0 on one side only
+        monkeypatch.setattr("slicedp.sync._stay_probability", stay)
+        rc, record = run(tmp_path, "wrong.json", ["audit-sync", "--seed", "5"])
+        assert rc == 1
+        assert record["payload"]["checks"]["ratio_ok"] is False
 
     def test_sim_audit_epsilon_below_the_draw_floor_is_named(self, tmp_path):
         rc, record = run(tmp_path, "tiny.json", ["audit-sim", "--seed", "5", "--trials", "3",
@@ -628,6 +653,96 @@ class TestRunTrials:
         with pytest.raises(RuntimeError, match="RegimeError: too few points"):
             run_trials(part, range(4))
         _assert_no_children()
+
+
+TOP = (1 << 64) - 1
+# each parameter at and around its boundaries, as typed on the command line
+EDGE_FLOATS = ["0", "5e-324", "2.2250738585072014e-308", "0.5", "0.9999999999999999", "1",
+               "1.0000000000000002", "1e308", "inf", "nan", "-1"]
+EDGE_INTS = ["0", "1", "-1", str(TOP), str(TOP + 1)]
+EDGE_BITS = ["0", "1", "3", "4", "8", "64", "65", str(TOP)]
+EDGE_TRIALS = ["0", "1", "2", "-1", str(TOP), str(cli.MAX_TRIALS + 1)]
+# one-row input files, with values at each format limit
+EDGE_FILES = {
+    "dataset": ["0\n", f"{TOP}\n", f"{TOP + 1}\n", "-1\n", ""],
+    "labeled": ["5,1\n", "5,7,1\n", f"{TOP},1\n", f"{TOP},{TOP},1\n", f"{TOP + 1},1,1\n",
+                "5,2\n", "-1,0\n", "5\n", ""],
+    "scores": ["0,3\n", "1000,7\n", f"0,{TOP}\n", f"{1 << 26},1\n", "0,-5\n", "0\n", "",
+               "0,3\n1,1\n2,3\n"],
+}
+EDGE_FLAGS = {
+    "ipp": {"--input": EDGE_FILES["dataset"], "--bits": EDGE_BITS},
+    "learn-threshold": {"--input": EDGE_FILES["labeled"], "--bits": EDGE_BITS,
+                        "--xi": EDGE_FLOATS, "--beta": EDGE_FLOATS},
+    "learn-rect": {"--input": EDGE_FILES["labeled"], "--bits": EDGE_BITS,
+                   "--dims": EDGE_INTS + ["2", "16", "17"]},
+    "qc-opt": {"--input": EDGE_FILES["scores"], "--constant-c": EDGE_INTS + ["4", "100000"]},
+    "audit-sync": {"--epsilon": EDGE_FLOATS + [repr(cli.MIN_SYNC_EPSILON),
+                                               repr(math.nextafter(cli.MIN_SYNC_EPSILON, 0))],
+                   "--cutoff": EDGE_INTS + ["12", str(cli.MAX_SYNC_CUTOFF),
+                                            str(cli.MAX_SYNC_CUTOFF + 1)]},
+    "audit-sim": {"--epsilon": EDGE_FLOATS + [repr(2.0 ** -54),
+                                              repr(math.nextafter(2.0 ** -54, 1))],
+                  "--trials": EDGE_TRIALS,
+                  "--tau": EDGE_INTS + ["2", str(cli.MAX_AUDIT_TAU + 1)],
+                  "--size": EDGE_INTS + ["65", str(cli.MAX_AUDIT_SIZE + 1)]},
+    "sweep": {"--trials": EDGE_TRIALS, "--bits": EDGE_BITS},
+    "account": {"--tau": EDGE_INTS, "--k": EDGE_INTS, "--delta-hat": EDGE_FLOATS,
+                "--applications": EDGE_INTS},
+}
+
+
+@pytest.fixture(scope="module")
+def edge_files(tmp_path_factory):
+    """Path of each edge file, by its text."""
+    folder = tmp_path_factory.mktemp("edges")
+    paths = {}
+    for i, text in enumerate(sorted({t for texts in EDGE_FILES.values() for t in texts})):
+        paths[text] = folder / f"edge{i}.csv"
+        paths[text].write_text(text)
+    return paths
+
+
+# a value that passes, so that a draw often has only one or two edges; on
+# `sweep` epsilon 1 keeps the largest regime (delta 2.2e-308) near a second
+ORDINARY = {"--seed": "5", "--epsilon": "0.5", "--delta": "0.001", "--bits": "32",
+            "--xi": "0.1", "--beta": "0.1", "--dims": "1", "--constant-c": "4",
+            "--cutoff": "12", "--trials": "2", "--tau": "2", "--size": "8", "--k": "1",
+            "--delta-hat": "1e-06", "--applications": "1"}
+
+
+def _edge_argv(command):
+    flags = {"--seed": EDGE_INTS, "--epsilon": EDGE_FLOATS, "--delta": EDGE_FLOATS,
+             **EDGE_FLAGS[command]}
+    ordinary = dict(ORDINARY, **{"--input": flags.get("--input", [""])[0]},
+                    **({"--epsilon": "1"} if command == "sweep" else {}))
+    return st.fixed_dictionaries({
+        flag: st.one_of(st.just(ordinary[flag]), st.sampled_from(values))
+        for flag, values in flags.items()})
+
+
+@pytest.mark.parametrize("command", sorted(EDGE_FLAGS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_command_at_its_edges(edge_files, command, data):
+    # exit 0 or 1, one strict JSON record on stdout, no traceback, and a
+    # failure that names a flag or the input file the user gave
+    flags = data.draw(_edge_argv(command))
+    if "--input" in flags:
+        flags["--input"] = str(edge_files[flags["--input"]])
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1)
+    record = json.loads(out.getvalue(), parse_constant=_no_constant)
+    assert set(record) == RECORD_KEYS and record["success"] is (rc == 0)
+    assert "Traceback" not in err.getvalue()
+    error = record["payload"].get("error")
+    if error is not None:
+        named = {flag[2:] for flag in flags} | {flag[2:].replace("-", "_") for flag in flags}
+        named |= {flags["--input"]} if "--input" in flags else set()
+        assert any(name in error for name in named), (argv, error)
 
 
 class TestAuditStreams:

@@ -287,8 +287,8 @@ class TestOrderMaps:
         st.sampled_from([(np.uint64, 0, 3, 0), (np.uint64, 0, (1 << 16) - 1, 0),
                          (np.uint64, 0, (1 << 64) - 1, 0), (np.int64, -3, 3, 0),
                          (np.int64, 0, (1 << 40) - 1, 0), MIXED_ROWS]))),
-        st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_axis_map_matches_a_lexsort_per_column(self, shape, reverse, seed):
+        st.booleans(), st.sampled_from(["C", "F", "strided"]), st.integers(0, 2 ** 32 - 1))
+    def test_axis_map_matches_a_lexsort_per_column(self, shape, reverse, layout, seed):
         d, axis, n, kind = shape
         rows = _draw_rows(np.random.default_rng(seed), kind, n, d)
         order = axis_map(axis, reverse)
@@ -296,9 +296,10 @@ class TestOrderMaps:
         assert out.dtype == rows.dtype
         assert out.tolist() == axis_order_oracle(rows, axis, reverse).tolist()
         # the selection fast path: the slice in order, the rest as a multiset;
-        # split may permute its input, so each call gets its own copy
+        # split may permute its input, so each call gets its own copy, laid
+        # out row-major, column-major, or as the loader's view of a wider table
         for k in range(n + 1):
-            work = rows.copy()
+            work = _laid_out(rows, layout)
             head, rest = order.split(work, k)
             assert head.dtype == rest.dtype == rows.dtype
             assert head.shape == (k, d) and rest.shape == (n - k, d)
@@ -349,6 +350,18 @@ class TestOrderMaps:
             long = order.apply(np.array(values + [extra], dtype=np.uint64)).tolist()
             assert _adjacent_lists(short, long)
             assert Counter(short) == Counter(values)
+
+
+def _laid_out(rows, layout):
+    """A copy of `rows` that is C-contiguous, Fortran-contiguous, or a
+    strided view that leaves out a last column."""
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "strided":
+        wide = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=rows.dtype)
+        wide[:, :-1] = rows
+        return wide[:, :-1]
+    return rows.copy()
 
 
 def _session(data, tau=4, k=1, epsilon=1.0, noisy=True):

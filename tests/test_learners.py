@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slicedp.learners
 from slicedp import (
@@ -51,6 +53,20 @@ class TestLabeledSample:
             LabeledSample(np.array([1, 2]), labels, Universe(8))
 
 
+TOP = (1 << 64) - 1
+# rectangle endpoints at the domain's edges, around 2^63, and anywhere
+_ENDPOINT = st.one_of(st.sampled_from([0, 1, (1 << 63) - 1, 1 << 63, TOP - 1, TOP]),
+                      st.integers(0, TOP))
+
+
+def _two_compare_predict(rectangle, points):
+    """`Hypothesis.predict` on a rectangle as it was: a <= c and c <= b per axis."""
+    inside = np.ones(points.shape[0], dtype=bool)
+    for axis, (a, b) in enumerate(rectangle):
+        inside &= (points[:, axis] >= np.uint64(a)) & (points[:, axis] <= np.uint64(b))
+    return inside.astype(np.int64)
+
+
 class TestHypothesis:
     def test_exactly_one_form(self):
         with pytest.raises(ValueError):
@@ -69,6 +85,22 @@ class TestHypothesis:
         pts = np.array([[3, 15], [1, 15], [3, 21]])
         assert h.predict(pts).tolist() == [1, 0, 0]
         assert Hypothesis(zero=True).predict(pts).tolist() == [0, 0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_ENDPOINT, _ENDPOINT).map(sorted), min_size=1, max_size=4),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_one_compare_predict_matches_two_compares(self, rectangle, flat, seed):
+        # every coordinate sits at a - 1, a, b, b + 1 or 2^64 - 1 of some axis,
+        # inside the domain; a 1-axis rectangle also predicts on 1-D points
+        near = sorted({min(max(v, 0), TOP) for a, b in rectangle
+                       for v in (a - 1, a, b, b + 1, TOP)})
+        rng = np.random.default_rng(seed)
+        d = len(rectangle)
+        points = rng.choice(np.array(near, dtype=np.uint64), size=(60, d))
+        h = Hypothesis(rectangle=[tuple(interval) for interval in rectangle])
+        got = h.predict(points[:, 0] if flat and d == 1 else points)
+        assert got.dtype == np.int64
+        assert got.tolist() == _two_compare_predict(rectangle, points).tolist()
 
     @pytest.mark.parametrize("points", [[1.7], [-1], np.array([2.5])])
     def test_predict_rejects_points_outside_the_domain(self, points):

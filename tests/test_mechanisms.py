@@ -158,6 +158,14 @@ class TestChoosingMechanism:
         got = choosing_error_bound(1.0, 1e-6, 0.1, 1, 200)
         assert got == pytest.approx(16.0 * math.log(4 * 200 / (0.1 * 1e-6)), rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-300, 2.2250738585072014e-308, 5e-324])
+    def test_error_bound_where_the_product_underflows(self, delta):
+        # beta * eps * delta underflows, or 4kn over it overflows; the bound
+        # is the same formula summed in log space
+        got = choosing_error_bound(0.5, delta, delta, 2, 300)
+        expected = 32.0 * (math.log(2400) - 2 * math.log(delta) - math.log(0.5))
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_requires_k_bounded(self):
         q = QualityFunction(evaluate=lambda d, z: 0.0)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestExactDistribution:
         for dist in (d0, d1):
             sync_mass = sum(p for (alpha, beta), p in dist.outcomes if beta == 1) + dist.tail
             assert sync_mass >= 1.0 / 6.0
+
+    @pytest.mark.parametrize("b", [0, 1])
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])
+    def test_log_outcomes_match_the_probabilities(self, b, eps):
+        # one log per listed outcome; it agrees with the probability wherever
+        # that is a normal float, is -inf only at mass 0, and stays finite
+        # where the probability underflows
+        dist, gamma = sync_map_exact_dist(b, eps, 10_000), sync_gamma(eps)
+        assert [key for key, _ in dist.log_outcomes] == [key for key, _ in dist.outcomes]
+        for (key, p), (_, log_p) in zip(dist.outcomes, dist.log_outcomes):
+            if p >= sys.float_info.min:
+                assert math.isclose(math.log(p), log_p, rel_tol=1e-12, abs_tol=1e-9), key
+            else:
+                assert (log_p == -math.inf) == (key[1] == 0 and key[0] >= gamma), key
 
     def test_cutoff_below_gamma_rejected(self):
         with pytest.raises(ValueError):

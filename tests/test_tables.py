@@ -170,6 +170,20 @@ def test_out_of_range_coordinate_message(path, text, line, value):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("text, line, label", [
+    ("1,1\n3,2\n", 2, 2),
+    # labels are checked first, then coordinates, whichever line comes first
+    ("1,1\n256,0\n3,2\n", 3, 2),
+    (f"1,1\n2,{1 << 63}\n", 2, 1 << 63),
+    (f"1,1\n2,{(1 << 64) - 1}\n", 2, (1 << 64) - 1),
+])
+def test_bad_label_message(path, text, line, label):
+    write(path, text)
+    with pytest.raises(ValueError) as caught:
+        load_labeled_csv(path, 8)
+    assert str(caught.value) == f"{path}: line {line}: label must be 0 or 1, got {label}"
+
+
 @pytest.mark.parametrize("row", [" , ", '""'])
 def test_a_row_of_blank_cells_is_rejected(path, row):
     write(path, f"1,1\n{row}\n2,0\n")
