@@ -17,12 +17,14 @@ from slicedp import (
     descending_map,
     direct_run,
     estimate_tv,
+    run_trials,
     sample_geometric,
     simulate,
     sync_gamma,
     sync_map,
     sync_map_exact_dist,
     sync_threshold,
+    trial_streams,
 )
 
 rng = np.random.default_rng(7)
@@ -65,9 +67,19 @@ script = [
 trials = 20000
 for b in (0, 1):
     target = data + [x] if b == 1 else data
-    sim = [tuple(simulate(data, x, b, script, eps, rng).published)
-           for _ in range(trials)]
-    ref = [tuple(direct_run(target, script, eps, rng)) for _ in range(trials)]
+
+    # trials fork across CPUs; trial i simulates on the stream [7, 2b, i]
+    # and runs directly on [7, 2b + 1, i]
+    def outputs(part):
+        sim = [tuple(simulate(data, x, b, script, eps, r).published)
+               for r in trial_streams(7, (2 * b,), part)]
+        ref = [tuple(direct_run(target, script, eps, r))
+               for r in trial_streams(7, (2 * b + 1,), part)]
+        return sim, ref
+
+    parts = run_trials(outputs, range(trials))
+    sim = [out for part_sim, _ in parts for out in part_sim]
+    ref = [out for _, part_ref in parts for out in part_ref]
     print(f"  b={b}: TV(simulated, direct) ~ {estimate_tv(sim, ref):.4f} "
           f"over {trials} trials")
 
@@ -76,8 +88,10 @@ print("== holder call counts on an adversarial stream ==")
 # every query in the min-ascending stream brushes against x = 0
 stream = [SliceComputation(1, lambda s: int(s.min()) if s.size else -1,
                            ascending_map()) for _ in range(16)]
+# trial i counts on the stream [8, 2, i]; seed 7's role 2 is the b = 1
+# simulation's above
 audit = audit_call_count(list(range(1, 49)), 0, 1, stream, 0.5,
-                         trials=4000, rng=rng)
+                         trials=4000, seed=8)
 print(f"  mean calls {audit.mean:.3f} over {audit.trials} trials")
 print("  w : Pr[calls > w] vs (5/6)^w")
 for w, prob in audit.tail[:8]:

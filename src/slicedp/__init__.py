@@ -20,7 +20,8 @@ from .quasiconcave import (QcInstance, QcResult, build_increment_dataset,
                            sample_code, scaled_budget)
 from .sync import (AuditResult, DataHolder, SimTranscript, SyncDist, SyncOutcome,
                    audit_call_count, direct_run, estimate_tv, holder_calls, run_trials,
-                   simulate, sync_gamma, sync_map, sync_map_exact_dist, sync_threshold)
+                   simulate, sync_gamma, sync_map, sync_map_exact_dist, sync_threshold,
+                   trial_streams)
 from .treelog import (RegimeError, TreeVertex, Universe, embed_order_map, f_ipp,
                       gamma, ipp, left_right_leaf, log_star, one_heavy_round,
                       regime_threshold, slice_steps, trim_parameter,
@@ -38,8 +39,8 @@ __all__ = [
     "axis_map", "select_and_compute", "delayed_compute", "privacy_cost",
     "holder_call_cap", "sync_threshold", "sync_gamma", "sync_map",
     "sync_map_exact_dist", "simulate", "holder_calls", "direct_run", "audit_call_count",
-    "run_trials", "estimate_tv", "log_star", "trim_parameter", "regime_threshold",
-    "slice_steps",
+    "run_trials", "trial_streams", "estimate_tv", "log_star", "trim_parameter",
+    "regime_threshold", "slice_steps",
     "f_ipp", "vertex_interval", "left_right_leaf", "embed_order_map", "gamma",
     "one_heavy_round", "ipp", "cumulative_distance",
     "is_quasi_concave", "build_increment_dataset", "scaled_budget",

@@ -32,11 +32,14 @@ from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
 SCHEMA_VERSION = 1
 
 # caps checked before anything is allocated: `audit-sim` and `sweep` hold
-# state per trial, and `audit-sim` builds a script of --tau steps over an
-# instance of --size elements
+# state per trial, `audit-sim` builds a script of --tau steps over an
+# instance of --size elements, and each bisection step of `sweep` fills an
+# array as long as the regime ceiling (3,542,000 points at epsilon 1, the
+# smallest normal delta and 64 bits)
 MAX_TRIALS = 1_000_000
 MAX_AUDIT_TAU = 10_000
 MAX_AUDIT_SIZE = 1_000_000
+MAX_SWEEP_N = 4_000_000
 
 
 def _check_common(args: argparse.Namespace) -> None:
@@ -369,6 +372,12 @@ def sweep_minimal_n(bits: int, epsilon: float, delta: float, trials: int,
 
 def _cmd_sweep(args: argparse.Namespace):
     bits_list = args.bits_list or [8, 16, 32, 64]
+    for bits in bits_list:
+        ceiling = regime_threshold(Universe(bits), args.epsilon, args.delta)
+        if ceiling > MAX_SWEEP_N:
+            raise ValueError(f"--epsilon {args.epsilon} and --delta {args.delta} put the regime "
+                             f"ceiling at --bits {bits} at {ceiling} points, above the cap of "
+                             f"{MAX_SWEEP_N}")
     rows = []
     for bits in bits_list:
         universe = Universe(bits)

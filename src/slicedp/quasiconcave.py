@@ -17,7 +17,7 @@ import numpy as np
 from .engine import as_elements
 from .mechanisms import sample_laplace
 from .tables import read_int_table
-from .treelog import Universe, ipp, log_star, regime_threshold
+from .treelog import Universe, ipp, log_star, regime_threshold, trim_parameter
 
 
 def _as_sorted_list(data) -> list:
@@ -97,6 +97,12 @@ def scaled_budget(universe: Universe, epsilon: float, delta: float,
     if delta_p == 0.0:
         raise ValueError(f"constant_c={constant_c} with delta={delta}: the scaled step "
                          f"delta delta^C / 2^log*|X| underflows to 0")
+    try:
+        trim_parameter(eps_p, delta_p)
+    except ValueError:  # its one failure left: (100/eps') ln(1/delta') overflows
+        raise ValueError(f"epsilon={epsilon}, delta={delta} and constant_c={constant_c}: the "
+                         f"scaled step budget's trim parameter (100/eps') ln(1/delta') "
+                         f"overflows") from None
     return eps_p, delta_p
 
 

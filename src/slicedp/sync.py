@@ -425,13 +425,20 @@ class AuditResult:
 
 
 def audit_call_count(data, x: int, b: int, script, epsilon: float, trials: int,
-                     rng: np.random.Generator) -> AuditResult:
-    """Distribution of holder-call counts over repeated simulations."""
+                     seed: int) -> AuditResult:
+    """Distribution of holder-call counts over repeated simulations.
+
+    Trial i counts with `holder_calls` on `default_rng([seed, 2, i])`, the
+    count stream of `audit-sim`, and the trials run on `run_trials`.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    return AuditResult.from_counts(np.array(
-        [simulate(data, x, b, script, epsilon, rng).holder_calls for _ in range(trials)],
-        dtype=np.int64))
+
+    def part(chunk: range) -> np.ndarray:
+        return np.array([holder_calls(data, x, b, script, epsilon, rng)
+                         for rng in trial_streams(seed, (2,), chunk)], dtype=np.int64)
+
+    return AuditResult.from_counts(np.concatenate(run_trials(part, range(trials))))
 
 
 class _WorkerTraceback(Exception):

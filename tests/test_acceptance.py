@@ -34,9 +34,11 @@ from slicedp import (
     log_star,
     qc_optimize,
     regime_threshold,
+    run_trials,
     simulate,
     sync_gamma,
     sync_map_exact_dist,
+    trial_streams,
     trim_parameter,
 )
 from slicedp.cli import main, sweep_minimal_n
@@ -109,15 +111,22 @@ def test_criterion_02_simulator_faithfulness(report):
         SliceComputation(2, lambda s: int(s.min()) if s.size else -1,
                          descending_map()),
     ]
-    rng = np.random.default_rng(102)
     ok = True
     details = []
     for b in (0, 1):
         target = data + [x] if b == 1 else data
-        sim = Counter(tuple(simulate(data, x, b, script, eps, rng).published)
-                      for _ in range(trials))
-        ref = Counter(tuple(direct_run(target, script, eps, rng))
-                      for _ in range(trials))
+
+        # trial i simulates on [102, 2b, i] and runs directly on [102, 2b + 1, i]
+        def outputs(part):
+            sim = Counter(tuple(simulate(data, x, b, script, eps, rng).published)
+                          for rng in trial_streams(102, (2 * b,), part))
+            ref = Counter(tuple(direct_run(target, script, eps, rng))
+                          for rng in trial_streams(102, (2 * b + 1,), part))
+            return sim, ref
+
+        parts = run_trials(outputs, range(trials))
+        sim = sum((part_sim for part_sim, _ in parts), Counter())
+        ref = sum((part_ref for _, part_ref in parts), Counter())
         stat, df = chi_squared_two_sample(sim, ref)
         crit = chi_squared_critical(df, 0.99)
         ok &= stat <= crit
@@ -131,7 +140,7 @@ def test_criterion_03_holder_call_tail(report):
                                ascending_map()) for _ in range(16)]
     trials = 100_000
     audit = audit_call_count(list(range(1, 49)), 0, 1, stream, 0.5,
-                             trials=trials, rng=np.random.default_rng(103))
+                             trials=trials, seed=103)
     ok = True
     worst_margin = 1.0
     for w, prob in audit.tail:
@@ -321,27 +330,30 @@ def _box_trial(n_pos, d, u, eps, delta, rng):
     return coverage >= 0.9 and exclusion >= 0.9
 
 
+def _box_wins(n_pos, d, u, eps, delta, seed, role, trials):
+    # planted-box trials on run_trials; trial i draws from [seed, role, i]
+    def part(chunk):
+        return sum(_box_trial(n_pos, d, u, eps, delta, rng)
+                   for rng in trial_streams(seed, (role,), chunk))
+    return sum(run_trials(part, range(trials)))
+
+
 def test_criterion_09_rectangle_learner(report):
     u = Universe(16)
     eps, delta = 1.0, 0.5
     m = regime_threshold(u, eps, delta)
-    rng = np.random.default_rng(109)
 
-    hits = sum(_box_trial(40 * 4 * m, 4, u, eps, delta, rng)
-               for _ in range(100))
+    hits = _box_wins(40 * 4 * m, 4, u, eps, delta, 109, 0, 100)
     main_ok = hits >= 90
 
     # minimal positive count per dimension count, coarse bisection with
-    # common random numbers so the per-d curves are comparable
+    # common random numbers ([600, d, trial]) so the per-d curves are comparable
     minimal = {}
     for d in (2, 4, 8):
         lo, hi = 2 * d * m, 48 * d * m
 
         def meets(n):
-            wins = sum(_box_trial(n, d, u, eps, delta,
-                                  np.random.default_rng([600, d, tr]))
-                       for tr in range(6))
-            return wins >= 5
+            return _box_wins(n, d, u, eps, delta, 600, d, 6) >= 5
 
         if not meets(hi):
             minimal[d] = -1

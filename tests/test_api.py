@@ -31,6 +31,12 @@ def test_exports_are_the_imported_names():
     assert set(slicedp.__all__) == _imported_names()
 
 
+def test_trial_streams_is_exported():
+    # every `run_trials` caller keys its parts with it
+    assert "trial_streams" in slicedp.__all__
+    assert slicedp.trial_streams is importlib.import_module("slicedp.sync").trial_streams
+
+
 @pytest.mark.parametrize("name", DELETED)
 def test_test_only_names_are_not_shipped(name):
     assert not hasattr(slicedp, name)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicedp import cli, sync_gamma
+from slicedp import (SliceComputation, Universe, ascending_map, audit_call_count, cli,
+                     regime_threshold, sync_gamma)
 from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
 from slicedp.sync import run_trials
 from slicedp.treelog import RegimeError
@@ -413,6 +414,18 @@ class TestOptimizerCommand:
         assert rc == 1
         assert "constant_c" in record["payload"]["error"]
 
+    def test_trim_overflow_names_the_given_epsilon(self, tmp_path):
+        # at 2^10 solutions the step epsilon is eps / 64, a subnormal here,
+        # and the step budget's trim parameter overflows
+        path = tmp_path / "tent.csv"
+        path.write_text("".join(f"{y},{max(200 - abs(y - 341), 0)}\n" for y in range(1024)))
+        rc, record = run(tmp_path, "tiny.json", ["qc-opt", "--seed", "5", "--input", str(path),
+                                                 "--epsilon", "2.2250738585072014e-308"])
+        assert rc == 1
+        error = record["payload"]["error"]
+        assert "epsilon=2.2250738585072014e-308" in error
+        assert "delta=0.25" in error and "constant_c=4" in error
+
     def test_duplicate_rows_error(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("1,5\n1,6\n")
@@ -655,6 +668,32 @@ class TestRunTrials:
         _assert_no_children()
 
 
+class TestCallCountMatchesAuditSim:
+    """`audit_call_count` and `audit-sim` count trial i on the same stream,
+    `[seed, 2, i]`, so their histograms agree."""
+
+    @pytest.mark.parametrize("tau,size", [config[:2] for config in AUDIT_CONFIGS])
+    def test_histograms_agree(self, tmp_path, tau, size):
+        trials, seed = 200, 17
+        rc, record = run(tmp_path, "sim.json", [
+            "audit-sim", "--seed", str(seed), "--epsilon", "0.5", "--tau", str(tau),
+            "--size", str(size), "--trials", str(trials)])
+        assert rc == 0
+        script = [SliceComputation(1, lambda s: int(s[0]) if len(s) else -1, ascending_map())
+                  for _ in range(tau)]
+        audit = audit_call_count(np.arange(1, size + 1, dtype=np.uint64), np.uint64(0), 1,
+                                 script, 0.5, trials, seed)
+        assert audit.histogram == {row["calls"]: row["frequency"]
+                                   for row in record["payload"]["histogram"]}
+        _assert_no_children()
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            audit_call_count([1, 2], 0, 1, [SliceComputation(1, None, ascending_map())],
+                             0.5, 4, -1)
+        _assert_no_children()
+
+
 TOP = (1 << 64) - 1
 # each parameter at and around its boundaries, as typed on the command line
 EDGE_FLOATS = ["0", "5e-324", "2.2250738585072014e-308", "0.5", "0.9999999999999999", "1",
@@ -834,6 +873,28 @@ class TestSweepCommand:
         assert rc == 0
         assert record["parameters"]["bits_list"] == [8, 16, 32, 64]
         assert [row["L"] for row in record["payload"]["rows"]] == [8, 16, 32, 64]
+
+    def test_regime_ceiling_above_the_cap_is_named(self, tmp_path):
+        rc, record = run(tmp_path, "sweep.json", ["sweep", "--seed", "5", "--epsilon", "1e-300",
+                                                  "--trials", "2", "--bits", "8"])
+        assert rc == 1
+        error = record["payload"]["error"]
+        assert "--epsilon 1e-300" in error and "--delta 0.001" in error
+        assert "--bits 8" in error and str(cli.MAX_SWEEP_N) in error
+
+    def test_every_ceiling_is_checked_before_the_first_bisection(self, tmp_path, monkeypatch):
+        # at 8 bits the ceiling passes the cap, at 64 it does not
+        monkeypatch.setattr(cli, "sweep_minimal_n", lambda *args: pytest.fail("bisected"))
+        delta = sys.float_info.min
+        assert regime_threshold(Universe(8), 0.8, delta) <= cli.MAX_SWEEP_N
+        rc, record = run(tmp_path, "sweep.json", ["sweep", "--seed", "5", "--epsilon", "0.8",
+                                                  "--delta", repr(delta), "--bits", "8", "64"])
+        assert rc == 1
+        ceiling = regime_threshold(Universe(64), 0.8, delta)
+        assert f"--bits 64 at {ceiling} points" in record["payload"]["error"]
+
+    def test_cap_admits_epsilon_1_at_every_normal_delta(self):
+        assert regime_threshold(Universe(64), 1.0, sys.float_info.min) <= cli.MAX_SWEEP_N
 
     def test_same_seed_bisects_identically(self):
         a = sweep_minimal_n(4, 1.0, 0.1, trials=5, seed=9)

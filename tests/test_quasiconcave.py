@@ -183,6 +183,12 @@ class TestScaledBudget:
             scaled_budget(Universe(4), 1.0, 0.25, constant_c=100000)
         assert "delta=0.25" in str(err.value)
 
+    def test_overflowing_trim_parameter_names_the_given_values(self):
+        # eps' = eps / 64 at L = 10 is a subnormal, so 100 / eps' overflows
+        with pytest.raises(ValueError, match="epsilon=2.2250738585072014e-308") as err:
+            scaled_budget(Universe(10), 2.2250738585072014e-308, 0.25, constant_c=4)
+        assert "delta=0.25" in str(err.value) and "constant_c=4" in str(err.value)
+
 
 class TestCumulativeInteriorPoint:
     def test_all_equal_returns_the_point(self):

@@ -25,8 +25,9 @@ from slicedp import (
     sync_map,
     sync_map_exact_dist,
     sync_threshold,
+    trial_streams,
 )
-from slicedp.sync import _KnownState, _diff_and_rank, trial_streams
+from slicedp.sync import _KnownState, _diff_and_rank
 from support import _diff_and_rank_oracle, simulate_oracle
 
 
@@ -451,19 +452,17 @@ class TestHolderCalls:
 
 class TestCallCountAudit:
     def test_eliminated_diff_counts_zero(self):
-        rng = np.random.default_rng(14)
         script = [SliceComputation(m=1, algorithm=_len_algorithm, map=_dedup_ascending())]
-        audit = audit_call_count([2, 4, 6], 4, 1, script, 0.5, trials=200, rng=rng)
+        audit = audit_call_count([2, 4, 6], 4, 1, script, 0.5, trials=200, seed=14)
         assert audit.histogram == {0: 200}
 
     def test_adversarial_tail_and_mean(self):
-        rng = np.random.default_rng(15)
         n, tau = 48, 16
         script = [SliceComputation(m=1, algorithm=_len_algorithm, map=ascending_map())
                   for _ in range(tau)]
         trials = 20000
         audit = audit_call_count(list(range(1, n + 1)), 0, 1, script, 0.5,
-                                 trials=trials, rng=rng)
+                                 trials=trials, seed=15)
         assert audit.mean <= 6.0
         for w, prob in audit.tail:
             if w > 12:
@@ -471,6 +470,15 @@ class TestCallCountAudit:
             bound = (5.0 / 6.0) ** w
             se = math.sqrt(bound * (1 - bound) / trials)
             assert prob <= bound + 3 * se, (w, prob, bound)
+
+    def test_trial_i_counts_on_its_own_stream(self):
+        script = [SliceComputation(m=1, algorithm=_len_algorithm, map=ascending_map())
+                  for _ in range(6)]
+        data, trials, seed = list(range(1, 13)), 40, 21
+        expected = [holder_calls(data, 0, 1, script, 0.5, np.random.default_rng([seed, 2, i]))
+                    for i in range(trials)]
+        audit = audit_call_count(data, 0, 1, script, 0.5, trials=trials, seed=seed)
+        assert audit == AuditResult.from_counts(np.array(expected, dtype=np.int64))
 
     def test_summary_of_counts(self):
         audit = AuditResult.from_counts(np.array([2, 0, 2, 5], dtype=np.int64))
@@ -482,8 +490,7 @@ class TestCallCountAudit:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            audit_call_count([1], 0, 0, _script(), 0.5, trials=0,
-                             rng=np.random.default_rng(0))
+            audit_call_count([1], 0, 0, _script(), 0.5, trials=0, seed=0)
 
 
 KEYS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
