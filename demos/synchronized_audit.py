@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 
 from slicedp import (
+    Simulation,
     SliceComputation,
     ascending_map,
     audit_call_count,
@@ -19,7 +20,6 @@ from slicedp import (
     estimate_tv,
     run_trials,
     sample_geometric,
-    simulate,
     sync_gamma,
     sync_map,
     sync_map_exact_dist,
@@ -60,10 +60,14 @@ print()
 print("== simulator faithfulness ==")
 data = [3, 7, 1, 12, 9, 15, 4, 8]
 x, eps = 5, 0.5
+# criterion 02's script: the max of the smallest slice and the min of the
+# largest both depend on where the slices cut, so wrong slice contents show
 script = [
-    SliceComputation(2, lambda s: int(s.min()) if s.size else -1, ascending_map()),
-    SliceComputation(2, lambda s: int(s.max()) if s.size else -1, descending_map()),
+    SliceComputation(2, lambda s: int(s.max()) if s.size else -1, ascending_map()),
+    SliceComputation(2, lambda s: int(s.min()) if s.size else -1, descending_map()),
 ]
+# one simulator for both bits and every trial; forked parts share it
+simulation = Simulation(data, x, script, eps)
 trials = 20000
 for b in (0, 1):
     target = data + [x] if b == 1 else data
@@ -71,7 +75,7 @@ for b in (0, 1):
     # trials fork across CPUs; trial i simulates on the stream [7, 2b, i]
     # and runs directly on [7, 2b + 1, i]
     def outputs(part):
-        sim = [tuple(simulate(data, x, b, script, eps, r).published)
+        sim = [tuple(simulation.run(b, r).published)
                for r in trial_streams(7, (2 * b,), part)]
         ref = [tuple(direct_run(target, script, eps, r))
                for r in trial_streams(7, (2 * b + 1,), part)]

@@ -18,7 +18,7 @@ from .quasiconcave import (QcInstance, QcResult, build_increment_dataset,
                            encode_hard_instance, hardness_reduction,
                            is_quasi_concave, load_qc_csv, qc_optimize,
                            sample_code, scaled_budget)
-from .sync import (AuditResult, DataHolder, SimTranscript, SyncDist, SyncOutcome,
+from .sync import (AuditResult, DataHolder, SimTranscript, Simulation, SyncDist, SyncOutcome,
                    audit_call_count, direct_run, estimate_tv, holder_calls, run_trials,
                    simulate, sync_gamma, sync_map, sync_map_exact_dist, sync_threshold,
                    trial_streams)
@@ -33,7 +33,7 @@ __all__ = [
     "OrderMap", "RscSession", "SliceComputation", "PrivacyBudget",
     "QualityFunction", "Universe", "TreeVertex", "RegimeError", "QcInstance",
     "QcResult", "LabeledSample", "Hypothesis", "SyncOutcome", "SyncDist",
-    "SimTranscript", "AuditResult", "DataHolder",
+    "SimTranscript", "Simulation", "AuditResult", "DataHolder",
     "sample_geometric", "sample_laplace", "geometric_pmf", "exponential_mechanism",
     "choosing_mechanism", "choosing_error_bound", "ascending_map", "descending_map",
     "axis_map", "select_and_compute", "delayed_compute", "privacy_cost",

@@ -24,8 +24,9 @@ from .learners import (learn_rectangles, learn_threshold_realizable, load_labele
                        threshold_sample_size)
 from .quasiconcave import load_qc_csv, qc_optimize
 from .tables import read_int_table
-from .sync import (AuditResult, direct_run, estimate_tv, holder_calls, run_trials, simulate,
-                   sync_gamma, sync_map_exact_dist, trial_streams)
+# `simulate` is not called here, but perfbench's tracer wraps `cli.simulate`
+from .sync import (AuditResult, Simulation, direct_run, estimate_tv, run_trials,
+                   simulate, sync_gamma, sync_map_exact_dist, trial_streams)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
                       slice_steps, trim_parameter)
 
@@ -280,13 +281,14 @@ def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range)
     which leaves the rest of the trial's own count stream undrawn."""
     data, x, algorithm = _audit_instance(size)
     script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(tau)]
+    simulation = Simulation(data, x, script, epsilon)
     counts = np.empty(len(trials), dtype=np.int64)
     sim_outputs = []
     direct_outputs = []
     streams = zip(*(trial_streams(seed, (role,), trials) for role in range(3)))
     for i, (sim_rng, direct_rng, count_rng) in enumerate(streams):
-        counts[i] = holder_calls(data, x, 1, script, epsilon, count_rng)
-        sim_outputs.append(tuple(simulate(data, x, 0, script, epsilon, sim_rng).published))
+        counts[i] = simulation.holder_calls(1, count_rng)
+        sim_outputs.append(tuple(simulation.run(0, sim_rng).published))
         direct_outputs.append(tuple(direct_run(data, script, epsilon, direct_rng)))
     return counts, sim_outputs, direct_outputs
 

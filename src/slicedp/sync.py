@@ -160,6 +160,11 @@ def _check_epsilon(epsilon: float):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
 
 
+def _check_bit(b: int):
+    if b not in (0, 1):
+        raise ValueError(f"b must be 0 or 1, got {b}")
+
+
 def sync_threshold(epsilon: float, i: int) -> float:
     """t_i = max(0, e^{-i eps} + e^{-(i+1) eps} - 1); non-increasing, <= e^{-(i+1) eps}."""
     _check_epsilon(epsilon)
@@ -194,8 +199,7 @@ def sync_map(b: int, m: int, epsilon: float, rng: np.random.Generator) -> SyncOu
     alpha = m - 1 exactly when beta = 1.
     """
     _check_epsilon(epsilon)
-    if b not in (0, 1):
-        raise ValueError(f"b must be 0 or 1, got {b}")
+    _check_bit(b)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if b == 1 and m == 0:
@@ -269,8 +273,7 @@ class DataHolder:
 
     def __init__(self, b: int, epsilon: float, rng: np.random.Generator):
         _check_epsilon(epsilon)
-        if b not in (0, 1):
-            raise ValueError(f"b must be 0 or 1, got {b}")
+        _check_bit(b)
         self.b = b
         self.epsilon = epsilon
         self._rng = rng
@@ -290,109 +293,152 @@ class DataHolder:
         return algorithm(self.stored[step])
 
 
-def _start(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
-           rng: np.random.Generator):
-    """Checks `simulate`'s inputs; returns the holder and the step loop."""
-    if not script:
-        raise ValueError(f"tau must be at least 1, got {len(script)}")
-    _check_epsilon(epsilon)
-    x_cur = as_elements(x, 64)
-    if x_cur.ndim:
-        raise ValueError(f"x must be one element, got an array of shape {x_cur.shape}")
-    holder = DataHolder(b, epsilon, rng)
-    current = as_elements(data, 64)
-    if current.ndim != 1:
-        raise ValueError(f"data must be 1-D, got an array of shape {current.shape}")
-    return holder, _steps(current, x_cur, holder, script, epsilon, rng)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of `a` that raises on writes; `a` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
-def _steps(current: np.ndarray, x_cur, holder: DataHolder,
-           script: Sequence[SliceComputation], epsilon: float, rng: np.random.Generator):
-    """`simulate`'s step loop. Yields, per step, the published result, the
-    slice the simulator kept (None when the holder took the step) and the
-    diff element, which is None from synchronization on."""
-    status = 0
-    for i, spec in enumerate(script):
-        mapped = spec.map.apply(current)
-        if status == 0:
-            with_x = np.empty(len(current) + 1, dtype=np.uint64)
-            with_x[:-1] = current
-            with_x[-1] = x_cur
-            mapped_with = spec.map.apply(with_x)
-            if mapped.shape == mapped_with.shape and (mapped == mapped_with).all():
-                status = 1  # map eliminated the diff element
-        m_hat = spec.m + sample_geometric(epsilon, rng)
-        if status == 0:
-            x_prime, p = _diff_and_rank(mapped, mapped_with)
-        kept = None
-        if status == 1 or m_hat < p:
-            # this round does not involve the diff element
-            kept = mapped[:m_hat]
-            current = mapped[m_hat:]
-            if status == 0:
-                x_cur = x_prime
-            result = spec.algorithm(kept) if spec.algorithm else None
-        else:
-            q_hat, beta, result = holder.query((mapped, mapped_with), max(p, spec.m),
-                                               spec.algorithm, step=i)
-            current = mapped[q_hat:]
-            if beta == 1 or q_hat > len(mapped):
-                # synchronized, or both executions exhausted with equal remainders
-                status = 1
+def _arrangement(order_map, current: np.ndarray, diff):
+    """One step's arrangement: (map of D, map of D + {diff}, (x', p)).
+
+    D is the simulator's current data and diff the live differing element.
+    From synchronization on (diff None) only D is mapped, and the rest is
+    None; (x', p) is None too when the map eliminates the differing element.
+    """
+    mapped = order_map.apply(current)
+    if diff is None:
+        return mapped, None, None
+    with_x = np.empty(len(current) + 1, dtype=np.uint64)
+    with_x[:-1] = current
+    with_x[-1] = diff
+    mapped_with = order_map.apply(with_x)
+    if mapped.shape == mapped_with.shape and (mapped == mapped_with).all():
+        return mapped, mapped_with, None
+    return mapped, mapped_with, _diff_and_rank(mapped, mapped_with)
+
+
+class Simulation:
+    """The simulator of one session on (data, data + {x}), built once and
+    run for any number of trials.
+
+    The constructor checks the inputs and computes step 0's arrangement:
+    the map of `data`, the map of `data + {x}` and where they differ. An
+    order map is deterministic and every trial starts from the same data,
+    so that arrangement is the same in every trial, and each trial starts
+    from it instead of mapping again. The shared arrays are read-only: an
+    algorithm or delayed request that writes into a slice of them raises
+    `ValueError` instead of changing later trials. A trial draws only from
+    the generator it is given.
+
+    `data` must be 1-D, x one element and the script nonempty; anything else
+    is a ValueError, as is a step-0 map that does not preserve adjacency.
+    """
+
+    def __init__(self, data, x: int, script: Sequence[SliceComputation], epsilon: float):
+        if not script:
+            raise ValueError(f"tau must be at least 1, got {len(script)}")
+        _check_epsilon(epsilon)
+        x_elem = as_elements(x, 64)
+        if x_elem.ndim:
+            raise ValueError(f"x must be one element, got an array of shape {x_elem.shape}")
+        elements = as_elements(data, 64)
+        if elements.ndim != 1:
+            raise ValueError(f"data must be 1-D, got an array of shape {elements.shape}")
+        self.script = tuple(script)
+        self.epsilon = epsilon
+        mapped, mapped_with, rank = _arrangement(script[0].map, _read_only(elements), x_elem)
+        self._first = (_read_only(mapped), _read_only(mapped_with), rank)
+
+    def _steps(self, holder: DataHolder, rng: np.random.Generator):
+        """The step loop of one trial. Yields, per step, the published
+        result, the slice the simulator kept (None when the holder took the
+        step) and the diff element, which is None from synchronization on.
+
+        Step 0's arrangement comes from the instance, so a map that breaks
+        adjacency at step 0 raised when the instance was built, before step
+        0's draw; a later step's map raises at that step, before its draw.
+        """
+        arrangement = self._first
+        for i, spec in enumerate(self.script):
+            if i:
+                arrangement = _arrangement(spec.map, current, diff)
+            mapped, mapped_with, rank = arrangement
+            m_hat = spec.m + sample_geometric(self.epsilon, rng)
+            kept = None
+            if rank is None or m_hat < rank[1]:
+                # this round does not involve the diff element
+                kept = mapped[:m_hat]
+                current = mapped[m_hat:]
+                diff = None if rank is None else rank[0]
+                result = spec.algorithm(kept) if spec.algorithm else None
             else:
-                x_cur = mapped[q_hat - 1]
-        yield result, kept, None if status == 1 else x_cur
+                q_hat, beta, result = holder.query((mapped, mapped_with), max(rank[1], spec.m),
+                                                   spec.algorithm, step=i)
+                current = mapped[q_hat:]
+                # synchronized, or both executions exhausted with equal remainders
+                diff = None if beta == 1 or q_hat > len(mapped) else mapped[q_hat - 1]
+            yield result, kept, diff
+
+    def run(self, b: int, rng: np.random.Generator,
+            delayed: Optional[Sequence[Tuple[int, Callable]]] = None) -> SimTranscript:
+        """One trial with the hidden bit b.
+
+        The simulator tracks (current data, diff element, status) and only
+        queries the holder on steps where the slice depends on b; published
+        results are distributed exactly as a direct run on the b-selected
+        dataset. Optional second-phase requests (step index, algorithm)
+        route to the simulator's stored slice or to the holder per where the
+        true slice lives; as in a direct run, each slice takes at most one.
+        """
+        holder = DataHolder(b, self.epsilon, rng)
+        published = []
+        sim_slices = {}
+        for i, (result, kept, diff) in enumerate(self._steps(holder, rng)):
+            published.append(result)
+            if kept is not None:
+                sim_slices[i] = kept
+
+        received = set()
+        for step, algorithm in delayed or []:
+            if step in received:
+                raise RuntimeError(f"slice {step} already received 1 delayed compute(s)")
+            received.add(step)
+            published.append(holder.delayed(step, algorithm) if step in holder.stored
+                             else algorithm(sim_slices[step]))
+
+        holder_steps = list(holder.stored)
+        return SimTranscript(published=published, holder_calls=len(holder_steps),
+                             holder_steps=holder_steps, final_status=int(diff is None),
+                             final_diff=None if diff is None else int(diff))
+
+    def holder_calls(self, b: int, rng: np.random.Generator) -> int:
+        """`self.run(b, rng).holder_calls`, counted by running the steps
+        only until the simulator synchronizes: no later step calls the
+        holder. The draws those steps would take are left in `rng`, so the
+        count equals run's for any rng, but the rng's state after the call
+        differs once the run synchronizes before the script ends."""
+        holder = DataHolder(b, self.epsilon, rng)
+        for _, _, diff in self._steps(holder, rng):
+            if diff is None:
+                break
+        return len(holder.stored)
 
 
 def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
              rng: np.random.Generator, delayed: Optional[Sequence[Tuple[int, Callable]]] = None
              ) -> SimTranscript:
-    """Run the slicing session on (data, data + {x}) chosen by the hidden bit b.
-
-    The simulator tracks (current data, diff element, status) and only
-    queries the holder on steps where the slice depends on b; published
-    results are distributed exactly as a direct run on the b-selected
-    dataset. Optional second-phase requests (step index, algorithm) route to
-    the simulator's stored slice or to the holder per where the true slice
-    lives; as in a direct run, each slice takes at most one.
-
-    `data` must be 1-D, x one element and the script nonempty; anything else
-    is a ValueError.
-    """
-    holder, steps = _start(data, x, b, script, epsilon, rng)
-    published = []
-    sim_slices = {}
-    for i, (result, kept, diff) in enumerate(steps):
-        published.append(result)
-        if kept is not None:
-            sim_slices[i] = kept
-
-    received = set()
-    for step, algorithm in delayed or []:
-        if step in received:
-            raise RuntimeError(f"slice {step} already received 1 delayed compute(s)")
-        received.add(step)
-        published.append(holder.delayed(step, algorithm) if step in holder.stored
-                         else algorithm(sim_slices[step]))
-
-    holder_steps = list(holder.stored)
-    return SimTranscript(published=published, holder_calls=len(holder_steps),
-                         holder_steps=holder_steps, final_status=int(diff is None),
-                         final_diff=None if diff is None else int(diff))
+    """`Simulation(data, x, script, epsilon).run(b, rng, delayed)`: one
+    simulated session on (data, data + {x}) chosen by the hidden bit b."""
+    return Simulation(data, x, script, epsilon).run(b, rng, delayed)
 
 
 def holder_calls(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
                  rng: np.random.Generator) -> int:
-    """`simulate(data, x, b, script, epsilon, rng).holder_calls`, counted by
-    running the steps only until the simulator synchronizes: no later step
-    calls the holder. The draws those steps would take are left in `rng`,
-    so the count equals simulate's for any rng, but the rng's state after
-    the call differs once the run synchronizes before the script ends."""
-    holder, steps = _start(data, x, b, script, epsilon, rng)
-    for _, _, diff in steps:
-        if diff is None:
-            break
-    return len(holder.stored)
+    """`Simulation(data, x, script, epsilon).holder_calls(b, rng)`: the
+    holder calls of one simulated session, counted until synchronization."""
+    return Simulation(data, x, script, epsilon).holder_calls(b, rng)
 
 
 def direct_run(data, script: Sequence[SliceComputation], epsilon: float,
@@ -428,14 +474,19 @@ def audit_call_count(data, x: int, b: int, script, epsilon: float, trials: int,
                      seed: int) -> AuditResult:
     """Distribution of holder-call counts over repeated simulations.
 
-    Trial i counts with `holder_calls` on `default_rng([seed, 2, i])`, the
-    count stream of `audit-sim`, and the trials run on `run_trials`.
+    Trial i counts with `Simulation.holder_calls` on `default_rng([seed, 2,
+    i])`, the count stream of `audit-sim`, and the trials run on
+    `run_trials`. The inputs and the seed are checked, and the one
+    `Simulation` every part runs on is built, before any part forks.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_bit(b)
+    _int_words(seed)  # trial_streams' check of the seed
+    simulation = Simulation(data, x, script, epsilon)
 
     def part(chunk: range) -> np.ndarray:
-        return np.array([holder_calls(data, x, b, script, epsilon, rng)
+        return np.array([simulation.holder_calls(b, rng)
                          for rng in trial_streams(seed, (2,), chunk)], dtype=np.int64)
 
     return AuditResult.from_counts(np.concatenate(run_trials(part, range(trials))))

@@ -66,6 +66,30 @@ def chi_squared_critical(df, confidence=0.99):
     return float(stats.chi2.ppf(confidence, df))
 
 
+def chi_squared_goodness_of_fit(counts, law, min_expected=5.0):
+    """Chi-squared statistic of an observed histogram against an exact law.
+
+    `counts` maps outcomes to frequencies and `law` outcomes to
+    probabilities. Outcomes are taken in `law`'s order and merged with the
+    next until their expected count reaches min_expected; a short remainder
+    joins the last bin. Returns (statistic, degrees_of_freedom).
+    """
+    n = sum(counts.values())
+    bins = []
+    observed = expected = 0.0
+    for outcome, prob in law.items():
+        observed += counts.get(outcome, 0)
+        expected += n * prob
+        if expected >= min_expected:
+            bins.append((observed, expected))
+            observed = expected = 0.0
+    if expected or observed:
+        last_o, last_e = bins.pop() if bins else (0.0, 0.0)
+        bins.append((last_o + observed, last_e + expected))
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    return stat, max(len(bins) - 1, 1)
+
+
 def cumdist_oracle(a, b):
     """Max over thresholds of the below-or-equal count difference.
 
@@ -587,3 +611,63 @@ def audit_trials_oracle(seed, epsilon, tau, size, trials):
         sim_outputs.append(tuple(simulate(data, 0, 0, script, epsilon, rng[0]).published))
         direct_outputs.append(tuple(direct_run(data, script, epsilon, rng[1])))
     return np.array(counts, dtype=np.int64), sim_outputs, direct_outputs
+
+
+def _holder_call_outcomes(epsilon):
+    """One holder call on `audit-sim`'s instance with b = 1, from the
+    coupling's formulas: (probability that it synchronizes, {elements a
+    call that does not synchronize consumes: probability}).
+
+    The holder draws delta ~ Geom(1 - e^-eps) and does not synchronize at
+    delta = 0, or at delta >= 1 with probability t_delta e^{(delta + 1) eps};
+    either way the step consumes delta + 1 elements.
+    """
+    def threshold(i):
+        return max(0.0, math.exp(-i * epsilon) + math.exp(-(i + 1) * epsilon) - 1.0)
+
+    stays = {1: -math.expm1(-epsilon)}
+    delta = 1
+    while threshold(delta) > 0.0:
+        stays[delta + 1] = (-math.expm1(-epsilon) * math.exp(-delta * epsilon)
+                            * threshold(delta) * math.exp((delta + 1) * epsilon))
+        delta += 1
+    return 1.0 - sum(stays.values()), stays
+
+
+def holder_calls_dp(epsilon, tau, size):
+    """`holder_calls_exact` by a DP over the count of elements left, which
+    holds whether or not the data runs out."""
+    sync, stays = _holder_call_outcomes(epsilon)
+    law = [0.0] * (tau + 1)
+    live = {size: 1.0}  # elements left -> mass not yet synchronized
+    for calls in range(1, tau):
+        following = Counter()
+        for left, mass in live.items():
+            law[calls] += mass * sync
+            for used, prob in stays.items():
+                # a step that slices past the data synchronizes both runs
+                if used > left:
+                    law[calls] += mass * prob
+                else:
+                    following[left - used] += mass * prob
+        live = following
+    law[tau] = sum(live.values(), 0.0)
+    return law
+
+
+def holder_calls_exact(epsilon, tau, size):
+    """Exact law of the holder calls on `audit-sim`'s instance: data 1 to
+    `size`, x = 0, b = 1, `tau` ascending steps of m = 1. Entry c is
+    Pr[calls = c], for c = 0 to tau.
+
+    x sorts below every element, so every step calls the holder until a call
+    synchronizes. While tau steps that do not synchronize cannot use up the
+    data, each call synchronizes with the same probability p and
+    Pr[calls > w] = (1 - p)^w for w < tau; otherwise a small DP over the
+    count of elements left gives the law.
+    """
+    sync, stays = _holder_call_outcomes(epsilon)
+    if size < tau * max(stays):
+        return holder_calls_dp(epsilon, tau, size)
+    return [0.0] + [(1 - sync) ** (c - 1) * sync for c in range(1, tau)] \
+        + [(1 - sync) ** (tau - 1)]

@@ -17,6 +17,7 @@ import pytest
 from slicedp import (
     LabeledSample,
     QcInstance,
+    Simulation,
     SliceComputation,
     Universe,
     ascending_map,
@@ -35,7 +36,6 @@ from slicedp import (
     qc_optimize,
     regime_threshold,
     run_trials,
-    simulate,
     sync_gamma,
     sync_map_exact_dist,
     trial_streams,
@@ -111,6 +111,7 @@ def test_criterion_02_simulator_faithfulness(report):
         SliceComputation(2, lambda s: int(s.min()) if s.size else -1,
                          descending_map()),
     ]
+    simulation = Simulation(data, x, script, eps)  # both bits, every part
     ok = True
     details = []
     for b in (0, 1):
@@ -118,7 +119,7 @@ def test_criterion_02_simulator_faithfulness(report):
 
         # trial i simulates on [102, 2b, i] and runs directly on [102, 2b + 1, i]
         def outputs(part):
-            sim = Counter(tuple(simulate(data, x, b, script, eps, rng).published)
+            sim = Counter(tuple(simulation.run(b, rng).published)
                           for rng in trial_streams(102, (2 * b,), part))
             ref = Counter(tuple(direct_run(target, script, eps, rng))
                           for rng in trial_streams(102, (2 * b + 1,), part))

@@ -37,6 +37,12 @@ def test_trial_streams_is_exported():
     assert slicedp.trial_streams is importlib.import_module("slicedp.sync").trial_streams
 
 
+def test_simulation_is_exported():
+    # audit loops build one simulator per run of trials from the package
+    assert "Simulation" in slicedp.__all__
+    assert slicedp.Simulation is importlib.import_module("slicedp.sync").Simulation
+
+
 @pytest.mark.parametrize("name", DELETED)
 def test_test_only_names_are_not_shipped(name):
     assert not hasattr(slicedp, name)

@@ -577,14 +577,14 @@ class TestParallelAuditTrials:
         _assert_no_children()
 
     def test_worker_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
-        parent, original = os.getpid(), cli.simulate
+        parent, original = os.getpid(), cli.direct_run
 
         def broken_in_workers(*args):
             if os.getpid() != parent:
                 raise ZeroDivisionError("worker failed")
             return original(*args)
 
-        monkeypatch.setattr(cli, "simulate", broken_in_workers)
+        monkeypatch.setattr(cli, "direct_run", broken_in_workers)
         _cpus(monkeypatch, 3)
         rc, record = run(tmp_path, "err.json", ["audit-sim", "--seed", "5",
                                                 "--trials", "30"])
@@ -595,14 +595,14 @@ class TestParallelAuditTrials:
 
     def test_worker_that_dies_unreported_is_a_failure_record(self, tmp_path, monkeypatch,
                                                              capsys):
-        parent, original = os.getpid(), cli.simulate
+        parent, original = os.getpid(), cli.direct_run
 
         def dies_in_workers(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return original(*args)
 
-        monkeypatch.setattr(cli, "simulate", dies_in_workers)
+        monkeypatch.setattr(cli, "direct_run", dies_in_workers)
         _cpus(monkeypatch, 3)
         rc, record = run(tmp_path, "dead.json", ["audit-sim", "--seed", "5",
                                                  "--trials", "30"])

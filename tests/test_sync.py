@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from slicedp import (
     AuditResult,
     DataHolder,
     OrderMap,
+    Simulation,
     SliceComputation,
     ascending_map,
     audit_call_count,
@@ -28,7 +30,8 @@ from slicedp import (
     trial_streams,
 )
 from slicedp.sync import _KnownState, _diff_and_rank
-from support import _diff_and_rank_oracle, simulate_oracle
+from support import (_diff_and_rank_oracle, chi_squared_critical, chi_squared_goodness_of_fit,
+                     holder_calls_dp, holder_calls_exact, simulate_oracle)
 
 
 class TestThresholdSequence:
@@ -404,6 +407,94 @@ class TestSimulateMatchesListOracle:
             _diff_and_rank(short, long)
 
 
+def _counting_script(base, tau, applies):
+    """`tau` steps of m = 1 under `base`, each counting its applies."""
+    def counting(step):
+        def apply(a):
+            applies[step] += 1
+            return base.apply(a)
+        return OrderMap(base.name, apply)
+
+    return [SliceComputation(1, _slice_tuple, counting(i)) for i in range(tau)]
+
+
+def _scribble(s):
+    s[...] = 7
+
+
+class TestSimulationInstance:
+    """One `Simulation` serves many trials: step 0's arrangement is computed
+    once, its arrays are read-only, and every trial is a fresh run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 8), st.booleans(), st.integers(0, 1),
+           st.sampled_from([0.2, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+    def test_step_zero_is_mapped_once_per_instance(self, size, tau, collapse, b, epsilon,
+                                                   seed):
+        # the instance of test_map_applies_per_step, run for several trials
+        data = list(range(1, size + 1))
+        x = 1 if collapse and data else 0
+        base = _dedup_ascending() if collapse else ascending_map()
+        applies = [0] * tau
+        simulation = Simulation(data, x, _counting_script(base, tau, applies), epsilon)
+        assert applies == [2] + [0] * (tau - 1)
+        plain = [SliceComputation(1, _slice_tuple, base) for _ in range(tau)]
+        expected = [2] + [0] * (tau - 1)
+        for trial in range(4):
+            rng, reference = (np.random.default_rng([seed, trial]) for _ in range(2))
+            new = simulation.run(b, rng)
+            old = simulate_oracle(data, x, b, plain, epsilon, reference)
+            assert (new.published, new.holder_steps) == (old.published, old.holder_steps)
+            assert rng.random() == reference.random()
+            synced = 1 if x else len(new.holder_steps)
+            for i in range(1, tau):
+                expected[i] += 2 if i < synced else 1
+            assert applies == expected
+        # the count maps only the steps up to its synchronization, step 0 never
+        for trial in range(4):
+            calls = simulation.holder_calls(b, np.random.default_rng([seed, trial]))
+            synced = 1 if x else calls
+            for i in range(1, min(synced, tau)):
+                expected[i] += 2
+            assert applies == expected
+
+    @pytest.mark.parametrize("x, order", [(0, ascending_map()), (5, _dedup_ascending())],
+                             ids=["holder-slice", "simulator-slice"])
+    def test_a_write_into_a_slice_raises(self, x, order):
+        # x = 0 sorts first, so the holder slices step 0; x = 5 is collapsed
+        # into the data, so the simulator does
+        data = np.array([3, 5, 9], dtype=np.uint64)
+        script = [SliceComputation(1, _slice_tuple, order)] * 2
+        simulation = Simulation(data, x, script, 0.5)
+        for b in (0, 1):
+            with pytest.raises(ValueError, match="read-only"):
+                simulation.run(b, np.random.default_rng(20), delayed=[(0, _scribble)])
+        writing = Simulation(data, x, [SliceComputation(1, _scribble, order)] + script, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            writing.run(1, np.random.default_rng(21))
+        # the caller's array keeps its flags and values, and later trials
+        # run as if the writes had never been tried
+        assert data.flags.writeable and data.tolist() == [3, 5, 9]
+        for seed in range(20):
+            new = simulation.run(1, np.random.default_rng(seed), delayed=[(0, _slice_tuple)])
+            old = simulate_oracle(data, x, 1, script, 0.5, np.random.default_rng(seed),
+                                  delayed=[(0, _slice_tuple)])
+            assert (new.published, new.holder_steps) == (old.published, old.holder_steps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sessions(), st.integers(0, 1), st.sampled_from([0.2, 0.5, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_trials_equal_the_list_oracle(self, session, b, epsilon, seed):
+        data, x, script, delayed = session
+        simulation = Simulation(data, x, script, epsilon)
+        for trial in range(3):
+            rng, reference = (np.random.default_rng([seed, trial]) for _ in range(2))
+            new = simulation.run(b, rng, delayed=delayed)
+            old = simulate_oracle(data, x, b, script, epsilon, reference, delayed=delayed)
+            assert new == old
+            assert rng.random() == reference.random()
+
+
 _CUT = 32
 _COUNTED_MAPS = {"ascending": ascending_map(), "descending": descending_map(),
                  # drops every element from _CUT up, so a diff element there
@@ -491,6 +582,46 @@ class TestCallCountAudit:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             audit_call_count([1], 0, 0, _script(), 0.5, trials=0, seed=0)
+
+    @pytest.mark.parametrize("data, b, script, seed, message", [
+        ([1, 3], 1, _script(), -1, "nonnegative"),
+        ([[1, 2], [3, 4]], 1, _script(), 0, "data must be 1-D"),
+        ([1, 3], 1, [], 0, "tau must be at least 1"),
+        ([1, 3], 2, _script(), 0, "b must be 0 or 1"),
+    ], ids=["negative-seed", "2d-data", "empty-script", "bad-bit"])
+    def test_inputs_are_checked_before_forking(self, monkeypatch, data, b, script, seed,
+                                                message):
+        def no_fork():
+            raise AssertionError("forked before checking the inputs")
+
+        # two CPUs, so four trials would fork one part
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ValueError, match=message):
+            audit_call_count(data, 0, b, script, 0.5, trials=4, seed=seed)
+        with pytest.raises(AssertionError, match="forked"):
+            audit_call_count([1, 3], 0, 1, _script(), 0.5, trials=4, seed=0)
+
+    # (epsilon, tau, size): criterion 03's instance; sync_gamma(0.1) = 7, so
+    # a call that does not synchronize can take up to 7 elements; and two
+    # sizes the data runs out at
+    @pytest.mark.parametrize("epsilon, tau, size", [(0.5, 16, 48), (0.1, 8, 64), (0.1, 8, 5),
+                                                    (0.5, 8, 3)])
+    def test_holder_calls_follow_the_exact_law(self, epsilon, tau, size):
+        script = [SliceComputation(1, _len_algorithm, ascending_map()) for _ in range(tau)]
+        audit = audit_call_count(np.arange(1, size + 1, dtype=np.uint64), 0, 1, script,
+                                 epsilon, trials=20_000, seed=31)
+        law = dict(enumerate(holder_calls_exact(epsilon, tau, size)))
+        assert all(law[calls] > 0 for calls in audit.histogram), audit.histogram
+        stat, df = chi_squared_goodness_of_fit(audit.histogram, law)
+        assert stat <= chi_squared_critical(df, 0.99), (stat, df, audit.histogram)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    def test_exact_law_closed_form_equals_the_dp(self, epsilon):
+        for tau in (1, 2, 8):
+            closed = holder_calls_exact(epsilon, tau, 1000)
+            assert sum(closed) == pytest.approx(1.0, abs=1e-12)
+            assert holder_calls_dp(epsilon, tau, 1000) == pytest.approx(closed, abs=1e-12)
 
 
 KEYS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
