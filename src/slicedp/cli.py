@@ -24,7 +24,7 @@ from .learners import (learn_rectangles, learn_threshold_realizable, load_labele
                        threshold_sample_size)
 from .quasiconcave import load_qc_csv, qc_optimize
 from .tables import read_int_table
-# `simulate` is not called here, but perfbench's tracer wraps `cli.simulate`
+# perfbench's tracer wraps `cli.simulate` and `cli.direct_run`; neither is called here
 from .sync import (AuditResult, Simulation, direct_run, estimate_tv, run_trials,
                    simulate, sync_gamma, sync_map_exact_dist, trial_streams)
 from .treelog import (RegimeError, Universe, ipp, log_star, regime_threshold,
@@ -275,10 +275,10 @@ def _audit_instance(size: int):
 
 
 def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range):
-    """Holder-call counts and the simulated and direct outputs of `trials`;
-    each trial reads only its own streams, so any split of a range gives
-    the same results in the same order. The count stops at synchronization,
-    which leaves the rest of the trial's own count stream undrawn."""
+    """Holder-call counts and the simulated and direct outputs of `trials`,
+    all three roles on one `Simulation`. Each trial reads only its own
+    streams, so any split of a range gives the same results in the same
+    order. The count stops at synchronization, leaving its stream undrawn."""
     data, x, algorithm = _audit_instance(size)
     script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(tau)]
     simulation = Simulation(data, x, script, epsilon)
@@ -289,7 +289,7 @@ def _audit_trials(seed: int, epsilon: float, tau: int, size: int, trials: range)
     for i, (sim_rng, direct_rng, count_rng) in enumerate(streams):
         counts[i] = simulation.holder_calls(1, count_rng)
         sim_outputs.append(tuple(simulation.run(0, sim_rng).published))
-        direct_outputs.append(tuple(direct_run(data, script, epsilon, direct_rng)))
+        direct_outputs.append(tuple(simulation.direct(direct_rng)))
     return counts, sim_outputs, direct_outputs
 
 
@@ -525,9 +525,12 @@ def main(argv=None) -> int:
         _check_common(args)
         parameters, payload, success = _HANDLERS[args.command](args)
     except Exception as exc:
-        if not isinstance(exc, (ValueError, OSError)):
+        if not isinstance(exc, (ValueError, OSError, MemoryError)):
             traceback.print_exc()  # a fault of the program, not of its input
-        parameters, payload, success = parsed, {"error": str(exc)}, False
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # it carries no message of its own
+            message = "out of memory" + (f" with --input {args.input}" if "input" in args else "")
+        parameters, payload, success = parsed, {"error": message}, False
         if isinstance(exc, RegimeError):
             payload["required"] = exc.required
             payload["provided"] = exc.provided

@@ -289,9 +289,6 @@ class DataHolder:
         alpha, beta = sync_map(self.b, delta, self.epsilon, self._rng)
         return q + alpha, beta, result
 
-    def delayed(self, step: int, algorithm: Callable):
-        return algorithm(self.stored[step])
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A view of `a` that raises on writes; `a` itself keeps its flags."""
@@ -351,16 +348,16 @@ class Simulation:
         mapped, mapped_with, rank = _arrangement(script[0].map, _read_only(elements), x_elem)
         self._first = (_read_only(mapped), _read_only(mapped_with), rank)
 
-    def _steps(self, holder: DataHolder, rng: np.random.Generator):
-        """The step loop of one trial. Yields, per step, the published
-        result, the slice the simulator kept (None when the holder took the
-        step) and the diff element, which is None from synchronization on.
+    def _steps(self, holder: Optional[DataHolder], rng: np.random.Generator, arrangement):
+        """The step loop of one trial from step 0's `arrangement`. Yields,
+        per step, the published result, the slice the simulator kept (None
+        when the holder took the step) and the diff element, None from
+        synchronization on; no step from then on calls the holder.
 
         Step 0's arrangement comes from the instance, so a map that breaks
         adjacency at step 0 raised when the instance was built, before step
         0's draw; a later step's map raises at that step, before its draw.
         """
-        arrangement = self._first
         for i, spec in enumerate(self.script):
             if i:
                 arrangement = _arrangement(spec.map, current, diff)
@@ -394,19 +391,17 @@ class Simulation:
         """
         holder = DataHolder(b, self.epsilon, rng)
         published = []
-        sim_slices = {}
-        for i, (result, kept, diff) in enumerate(self._steps(holder, rng)):
+        slices = {}  # each step's true slice, the simulator's or the holder's
+        for i, (result, kept, diff) in enumerate(self._steps(holder, rng, self._first)):
             published.append(result)
-            if kept is not None:
-                sim_slices[i] = kept
+            slices[i] = holder.stored[i] if kept is None else kept
 
         received = set()
         for step, algorithm in delayed or []:
             if step in received:
                 raise RuntimeError(f"slice {step} already received 1 delayed compute(s)")
             received.add(step)
-            published.append(holder.delayed(step, algorithm) if step in holder.stored
-                             else algorithm(sim_slices[step]))
+            published.append(algorithm(slices[step]))
 
         holder_steps = list(holder.stored)
         return SimTranscript(published=published, holder_calls=len(holder_steps),
@@ -420,10 +415,16 @@ class Simulation:
         count equals run's for any rng, but the rng's state after the call
         differs once the run synchronizes before the script ends."""
         holder = DataHolder(b, self.epsilon, rng)
-        for _, _, diff in self._steps(holder, rng):
+        for _, _, diff in self._steps(holder, rng, self._first):
             if diff is None:
                 break
         return len(holder.stored)
+
+    def direct(self, rng: np.random.Generator) -> list:
+        """`direct_run(data, script, epsilon, rng)`'s outputs: the step loop
+        from the map of `data` with no diff element, as in a trial that has
+        already synchronized, so no holder is called and the draws are equal."""
+        return [result for result, _, _ in self._steps(None, rng, (self._first[0], None, None))]
 
 
 def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,

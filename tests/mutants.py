@@ -1,0 +1,121 @@
+"""Mutation catalogue: small wrong changes to the library, each with the
+tests that must catch it.
+
+    PYTHONPATH=src python tests/mutants.py [NAME ...]
+
+runs the named mutants, or all of them, one at a time. Each copies `src/`,
+`tests/` and `pyproject.toml` into a temporary directory, replaces the
+entry's old text with its new text there, and runs each of its tests with
+pytest on its own. It prints "caught" when every listed test fails,
+"missed" with the tests that passed otherwise, and "error" when a test
+cannot be collected. The exit status is 1 when any mutant is not caught.
+
+pytest does not collect this file. `tests/test_mutants.py` checks, on
+every run, that each entry's old text occurs exactly once in its file, so a
+refactor that moves the code must update the entry.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+_EXACT_LAW = "tests/test_sync.py::TestDirect::test_outputs_follow_the_exact_law"
+_CALL_LAW = "tests/test_sync.py::TestCallCountAudit::test_holder_calls_follow_the_exact_law"
+
+MUTANTS = (
+    # the direct run slices the map of data + {x}, not of data
+    Mutant("direct-from-data-plus-x", "src/slicedp/sync.py",
+           "self._steps(None, rng, (self._first[0], None, None))",
+           "self._steps(None, rng, (self._first[1], None, None))",
+           ("tests/test_sync.py::TestDirect::test_equals_direct_run",
+            f"{_EXACT_LAW}[direct-0.5-2-8]",
+            "tests/test_cli.py::TestAuditStreams::test_trials_equal_a_default_rng_loop")),
+    # a slice the simulator keeps takes one element too many
+    Mutant("kept-slice-off-by-one", "src/slicedp/sync.py",
+           "kept = mapped[:m_hat]",
+           "kept = mapped[:m_hat + 1]",
+           ("tests/test_sync.py::TestDirect::test_equals_direct_run",
+            "tests/test_sync.py::TestSimulateMatchesListOracle::test_same_transcript_and_draws")),
+    # the holder slices the other execution's arrangement
+    Mutant("holder-wrong-bit", "src/slicedp/sync.py",
+           "arrangements[self.b][:q + delta]",
+           "arrangements[1 - self.b][:q + delta]",
+           (f"{_EXACT_LAW}[simulated-0.5-2-8]", f"{_EXACT_LAW}[simulated-0.5-4-6]",
+            f"{_EXACT_LAW}[simulated-1.0-3-3]", f"{_EXACT_LAW}[simulated-0.2-3-12]",
+            "tests/test_sync.py::TestSimulateMatchesListOracle::test_same_transcript_and_draws")),
+    # the coupling stays with probability stay + (1 - stay) / 2
+    Mutant("sync-map-stays-too-often", "src/slicedp/sync.py",
+           "if rng.random() < _stay_probability(b, m, epsilon):",
+           "if rng.random() < (1 + _stay_probability(b, m, epsilon)) / 2:",
+           (f"{_CALL_LAW}[0.5-16-48]", f"{_CALL_LAW}[0.1-8-64]", f"{_CALL_LAW}[0.1-8-5]",
+            f"{_CALL_LAW}[0.5-8-3]")),
+    # the holder-call count stops after the first step
+    Mutant("holder-calls-first-step-only", "src/slicedp/sync.py",
+           "            if diff is None:\n                break\n",
+           "            break\n",
+           ("tests/test_sync.py::TestHolderCalls::test_equals_the_full_simulation",
+            f"{_CALL_LAW}[0.5-16-48]")),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """"caught", "missed: ..." or "error: ..." for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return f"error: the old text occurs {text.count(mutant.old)} times"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        passed, broken = [], []
+        for node in mutant.tests:
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", node],
+                cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+            # pytest exits 1 when tests failed and 0 when all passed; any
+            # other status means the node did not run
+            if code == 0:
+                passed.append(node)
+            elif code != 1:
+                broken.append(f"{node} (exit {code})")
+    if broken:
+        return "error: " + ", ".join(broken)
+    return "missed: " + ", ".join(passed) if passed else "caught"
+
+
+def main(names) -> int:
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = False
+    for mutant in (known[name] for name in names) if names else MUTANTS:
+        outcome = run(mutant)
+        failed |= outcome != "caught"
+        print(f"{mutant.name}: {outcome}", flush=True)
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

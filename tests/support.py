@@ -671,3 +671,38 @@ def holder_calls_exact(epsilon, tau, size):
         return holder_calls_dp(epsilon, tau, size)
     return [0.0] + [(1 - sync) ** (c - 1) * sync for c in range(1, tau)] \
         + [(1 - sync) ** (tau - 1)]
+
+
+def direct_outputs_exact(epsilon, tau, size):
+    """Exact law of the published tuple of a direct run on `audit-sim`'s
+    instance: data 1 to `size`, `tau` ascending steps of m = 1, each
+    publishing the first element of its slice, or -1 for an empty slice.
+    Maps each possible tuple to its probability, most likely first, so that
+    a chi-squared test pools the rare tuples together.
+
+    Step i slices from position S_i = sum over j < i of (1 + G_j), with G_j
+    ~ Geom(1 - e^-eps) on {0, 1, ...}, so it publishes 1 + S_i while S_i <
+    size and -1 once the data has run out. The last step's draw publishes
+    nothing.
+    """
+    _check_epsilon(epsilon)
+    stay = math.exp(-epsilon)  # Pr[G_j >= g + 1 | G_j >= g]
+    law = {}
+
+    def extend(outputs, used, mass):
+        # `used` elements are gone before step len(outputs)
+        if used >= size:
+            law[outputs + (-1,) * (tau - len(outputs))] = mass
+            return
+        outputs += (used + 1,)
+        if len(outputs) == tau:
+            law[outputs] = mass
+            return
+        # the next step starts at used + 1 + g, inside the data for g < gap
+        gap = size - used - 1
+        for g in range(gap):
+            extend(outputs, used + 1 + g, mass * -math.expm1(-epsilon) * stay ** g)
+        extend(outputs, size, mass * stay ** gap)
+
+    extend((), 0, 1.0)
+    return dict(sorted(law.items(), key=lambda item: -item[1]))

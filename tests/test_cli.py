@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicedp import (SliceComputation, Universe, ascending_map, audit_call_count, cli,
-                     regime_threshold, sync_gamma)
+                     learners, quasiconcave, regime_threshold, sync_gamma)
 from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
 from slicedp.sync import run_trials
 from slicedp.treelog import RegimeError
@@ -152,6 +152,24 @@ class TestRecordShape:
         assert record["success"] is False
         assert record["payload"] == {"error": "division by zero"}
         assert "ZeroDivisionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ipp", "learn-rect", "qc-opt"])
+    def test_out_of_memory_on_the_input_is_a_failure_record(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        # a MemoryError carries no message, so the record must name the input
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        for module in (cli, learners, quasiconcave):
+            monkeypatch.setattr(module, "read_int_table", exhausted)
+        path = tmp_path / "big.csv"
+        path.write_text("1\n")
+        rc = main([command, "--seed", "5", "--input", str(path)])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert rc == 1 and record["success"] is False
+        assert f"--input {path}" in record["payload"]["error"]
+        assert "Traceback" not in captured.err
 
 
 # the subcommands taking each common flag, and the argv each needs besides it
@@ -577,14 +595,14 @@ class TestParallelAuditTrials:
         _assert_no_children()
 
     def test_worker_exception_is_a_failure_record(self, tmp_path, monkeypatch, capsys):
-        parent, original = os.getpid(), cli.direct_run
+        parent, original = os.getpid(), cli.Simulation.direct
 
         def broken_in_workers(*args):
             if os.getpid() != parent:
                 raise ZeroDivisionError("worker failed")
             return original(*args)
 
-        monkeypatch.setattr(cli, "direct_run", broken_in_workers)
+        monkeypatch.setattr(cli.Simulation, "direct", broken_in_workers)
         _cpus(monkeypatch, 3)
         rc, record = run(tmp_path, "err.json", ["audit-sim", "--seed", "5",
                                                 "--trials", "30"])
@@ -595,14 +613,14 @@ class TestParallelAuditTrials:
 
     def test_worker_that_dies_unreported_is_a_failure_record(self, tmp_path, monkeypatch,
                                                              capsys):
-        parent, original = os.getpid(), cli.direct_run
+        parent, original = os.getpid(), cli.Simulation.direct
 
         def dies_in_workers(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return original(*args)
 
-        monkeypatch.setattr(cli, "direct_run", dies_in_workers)
+        monkeypatch.setattr(cli.Simulation, "direct", dies_in_workers)
         _cpus(monkeypatch, 3)
         rc, record = run(tmp_path, "dead.json", ["audit-sim", "--seed", "5",
                                                  "--trials", "30"])

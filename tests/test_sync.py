@@ -21,6 +21,7 @@ from slicedp import (
     direct_run,
     estimate_tv,
     holder_calls,
+    run_trials,
     sample_geometric,
     simulate,
     sync_gamma,
@@ -29,9 +30,11 @@ from slicedp import (
     sync_threshold,
     trial_streams,
 )
+from slicedp.cli import _audit_instance
 from slicedp.sync import _KnownState, _diff_and_rank
+from slicedp.treelog import _trim_map
 from support import (_diff_and_rank_oracle, chi_squared_critical, chi_squared_goodness_of_fit,
-                     holder_calls_dp, holder_calls_exact, simulate_oracle)
+                     direct_outputs_exact, holder_calls_dp, holder_calls_exact, simulate_oracle)
 
 
 class TestThresholdSequence:
@@ -470,8 +473,9 @@ class TestSimulationInstance:
             with pytest.raises(ValueError, match="read-only"):
                 simulation.run(b, np.random.default_rng(20), delayed=[(0, _scribble)])
         writing = Simulation(data, x, [SliceComputation(1, _scribble, order)] + script, 0.5)
-        with pytest.raises(ValueError, match="read-only"):
-            writing.run(1, np.random.default_rng(21))
+        for trial in (lambda rng: writing.run(1, rng), writing.direct):
+            with pytest.raises(ValueError, match="read-only"):
+                trial(np.random.default_rng(21))
         # the caller's array keeps its flags and values, and later trials
         # run as if the writes had never been tried
         assert data.flags.writeable and data.tolist() == [3, 5, 9]
@@ -480,6 +484,8 @@ class TestSimulationInstance:
             old = simulate_oracle(data, x, 1, script, 0.5, np.random.default_rng(seed),
                                   delayed=[(0, _slice_tuple)])
             assert (new.published, new.holder_steps) == (old.published, old.holder_steps)
+            assert (simulation.direct(np.random.default_rng(seed))
+                    == direct_run(data, script, 0.5, np.random.default_rng(seed)))
 
     @settings(max_examples=100, deadline=None)
     @given(_sessions(), st.integers(0, 1), st.sampled_from([0.2, 0.5, 1.0]),
@@ -493,6 +499,74 @@ class TestSimulationInstance:
             old = simulate_oracle(data, x, b, script, epsilon, reference, delayed=delayed)
             assert new == old
             assert rng.random() == reference.random()
+
+
+# values with heavy ties, most of them at 2^63 and around it
+_TIED = st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**63, 2**63 + 1, 2**64 - 1])
+_DIRECT_MAPS = {"ascending": ascending_map(), "descending": descending_map(),
+                "low-trim": _trim_map(False), "high-trim": _trim_map(True),
+                "dedup": _dedup_ascending()}
+
+
+@st.composite
+def _direct_sessions(draw):
+    data = np.array(draw(st.lists(_TIED, max_size=10)), dtype=np.uint64)
+    script = [SliceComputation(m=draw(st.integers(0, 4)),
+                               algorithm=draw(st.sampled_from([_slice_tuple, None])),
+                               map=_DIRECT_MAPS[draw(st.sampled_from(sorted(_DIRECT_MAPS)))])
+              for _ in range(draw(st.integers(1, 5)))]
+    return data, draw(_TIED), script
+
+
+_LAW_TRIALS = 20_000
+
+
+class TestDirect:
+    """`Simulation.direct` against `direct_run`, the `RscSession` reference,
+    and both the direct and the simulated outputs against their exact law."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_direct_sessions(), st.sampled_from([0.2, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+    # five steps of m = 4 run out of three tied elements
+    @example((np.array([2**63] * 3, dtype=np.uint64), 2**63,
+              [SliceComputation(4, _slice_tuple, _trim_map(True))] * 5), 0.5, 0)
+    def test_equals_direct_run(self, session, epsilon, seed):
+        data, x, script = session
+        simulation = Simulation(data, x, script, epsilon)
+        for trial in range(2):
+            rng, reference = (np.random.default_rng([seed, trial]) for _ in range(2))
+            assert simulation.direct(rng) == direct_run(data, script, epsilon, reference)
+            assert rng.random() == reference.random()
+
+    # (epsilon, tau, size): audit-sim's default instance; two the data runs
+    # out of; and a wider law at a small epsilon
+    @pytest.mark.parametrize("epsilon, tau, size", [(0.5, 2, 8), (0.5, 4, 6), (1.0, 3, 3),
+                                                    (0.2, 3, 12)])
+    @pytest.mark.parametrize("role", ["simulated", "direct"])
+    def test_outputs_follow_the_exact_law(self, role, epsilon, tau, size):
+        data, x, algorithm = _audit_instance(size)
+        script = [SliceComputation(1, algorithm, ascending_map()) for _ in range(tau)]
+        simulation = Simulation(data, x, script, epsilon)
+        simulated = role == "simulated"
+
+        def part(chunk):
+            streams = trial_streams(37, (0 if simulated else 1,), chunk)
+            return Counter(tuple(simulation.run(0, rng).published if simulated
+                                 else simulation.direct(rng)) for rng in streams)
+
+        counts = sum(run_trials(part, range(_LAW_TRIALS)), Counter())
+        law = direct_outputs_exact(epsilon, tau, size)
+        assert set(counts) <= set(law), set(counts) - set(law)
+        stat, df = chi_squared_goodness_of_fit(counts, law)
+        assert stat <= chi_squared_critical(df, 0.99), (stat, df)
+
+    def test_exact_law_sums_to_one(self):
+        for epsilon, tau, size in [(0.1, 4, 20), (0.5, 1, 0), (0.5, 3, 0), (1.0, 5, 2)]:
+            law = direct_outputs_exact(epsilon, tau, size)
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            assert all(len(outputs) == tau for outputs in law)
+        assert direct_outputs_exact(0.5, 3, 0) == {(-1, -1, -1): 1.0}
+        assert direct_outputs_exact(0.5, 1, 4) == {(1,): 1.0}
 
 
 _CUT = 32
