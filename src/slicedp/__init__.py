@@ -19,9 +19,8 @@ from .quasiconcave import (QcInstance, QcResult, build_increment_dataset,
                            is_quasi_concave, load_qc_csv, qc_optimize,
                            sample_code, scaled_budget)
 from .sync import (AuditResult, DataHolder, SimTranscript, Simulation, SyncDist, SyncOutcome,
-                   audit_call_count, direct_run, estimate_tv, holder_calls, run_trials,
-                   simulate, sync_gamma, sync_map, sync_map_exact_dist, sync_threshold,
-                   trial_streams)
+                   audit_call_count, direct_run, estimate_tv, run_trials, simulate,
+                   sync_gamma, sync_map, sync_map_exact_dist, sync_threshold, trial_streams)
 from .treelog import (RegimeError, TreeVertex, Universe, embed_order_map, f_ipp,
                       gamma, ipp, left_right_leaf, log_star, one_heavy_round,
                       regime_threshold, slice_steps, trim_parameter,
@@ -38,7 +37,7 @@ __all__ = [
     "choosing_mechanism", "choosing_error_bound", "ascending_map", "descending_map",
     "axis_map", "select_and_compute", "delayed_compute", "privacy_cost",
     "holder_call_cap", "sync_threshold", "sync_gamma", "sync_map",
-    "sync_map_exact_dist", "simulate", "holder_calls", "direct_run", "audit_call_count",
+    "sync_map_exact_dist", "simulate", "direct_run", "audit_call_count",
     "run_trials", "trial_streams", "estimate_tv", "log_star", "trim_parameter",
     "regime_threshold", "slice_steps",
     "f_ipp", "vertex_interval", "left_right_leaf", "embed_order_map", "gamma",

@@ -69,12 +69,16 @@ def load_dataset(path, bit_length: int) -> np.ndarray:
     if values.shape[1] != 1:
         raise table.error(0, f"expected one integer per line, got {values.shape[1]} cells")
     values = values[:, 0]
-    if bit_length < 64:
-        limit = 1 << bit_length
-        table.reject(values >= np.uint64(limit), lambda i: (
-            f"value {values[i]} out of range for {bit_length}-bit domain "
-            f"(must be < {limit})"))
-    return as_elements(values, bit_length)
+    try:
+        return as_elements(values, bit_length)
+    except ValueError:
+        # the mask that names the line is built only when the range check fails
+        if bit_length < 64:
+            limit = 1 << bit_length
+            table.reject(values >= np.uint64(limit), lambda i: (
+                f"value {values[i]} out of range for {bit_length}-bit domain "
+                f"(must be < {limit})"))
+        raise
 
 
 def _record(args: argparse.Namespace, parameters: dict, payload, success: bool,

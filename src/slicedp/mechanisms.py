@@ -81,12 +81,6 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     return float(rng.laplace(0.0, scale))
 
 
-def _em_probabilities(scores: np.ndarray, epsilon: float) -> np.ndarray:
-    shifted = (epsilon / 2.0) * (scores - scores.max())
-    weights = np.exp(shifted)
-    return weights / weights.sum()
-
-
 def exponential_mechanism(candidates: Sequence, q: QualityFunction, dataset,
                           epsilon: float, rng: np.random.Generator):
     """Sample a candidate with probability proportional to exp(eps * score / 2).
@@ -99,8 +93,8 @@ def exponential_mechanism(candidates: Sequence, q: QualityFunction, dataset,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     scores = np.array([float(q.evaluate(dataset, z)) for z in candidates])
-    probs = _em_probabilities(scores, epsilon)
-    idx = int(rng.choice(len(candidates), p=probs))
+    weights = np.exp((epsilon / 2.0) * (scores - scores.max()))
+    idx = int(rng.choice(len(candidates), p=weights / weights.sum()))
     return candidates[idx]
 
 
@@ -120,10 +114,10 @@ def choosing_mechanism(q: QualityFunction, dataset, epsilon: float, delta: float
     """Select a candidate for a k-bounded quality function.
 
     Internals: a noisy gate compares OPT + Laplace(4/eps) against half the
-    additive-error bound; if the gate passes, an exponential mechanism at
-    parameter eps/2 runs over the candidates with positive score (scanned via
-    ``q.touched``, never enumerating Z). Otherwise ``fallback`` is returned,
-    which is optimal whenever every score is near zero.
+    additive-error bound; if the gate passes, the draw is
+    ``exponential_mechanism`` at eps/2 over the candidates with positive score
+    (scanned via ``q.touched``, never enumerating Z). Otherwise ``fallback``
+    is returned, which is optimal whenever every score is near zero.
 
     :return: candidate with score >= OPT - choosing_error_bound(...) with
         probability at least 1 - beta.
@@ -144,10 +138,8 @@ def choosing_mechanism(q: QualityFunction, dataset, epsilon: float, delta: float
     bound = choosing_error_bound(epsilon, delta, beta, q.bound_k, n)
     if opt + sample_laplace(4.0 / epsilon, rng) < bound / 2.0:
         return fallback
-    positive = [(z, s) for z, s in zip(candidates, scores) if s > 0.0]
+    positive = [z for z, s in zip(candidates, scores) if s > 0.0]
     if not positive:
         return fallback
-    probs = _em_probabilities(np.array([s for _, s in positive]), epsilon / 2.0)
-    idx = int(rng.choice(len(positive), p=probs))
-    return positive[idx][0]
+    return exponential_mechanism(positive, q, dataset, epsilon / 2.0, rng)
 

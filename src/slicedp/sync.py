@@ -280,7 +280,7 @@ class DataHolder:
         self.stored = {}
 
     def query(self, arrangements: Tuple[np.ndarray, np.ndarray], q: int,
-              algorithm: Optional[Callable], step: Optional[int] = None):
+              algorithm: Optional[Callable], step: int):
         if q < 0:
             raise ValueError(f"q must be nonnegative, got {q}")
         delta = sample_geometric(self.epsilon, self._rng)
@@ -433,13 +433,6 @@ def simulate(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: 
     """`Simulation(data, x, script, epsilon).run(b, rng, delayed)`: one
     simulated session on (data, data + {x}) chosen by the hidden bit b."""
     return Simulation(data, x, script, epsilon).run(b, rng, delayed)
-
-
-def holder_calls(data, x: int, b: int, script: Sequence[SliceComputation], epsilon: float,
-                 rng: np.random.Generator) -> int:
-    """`Simulation(data, x, script, epsilon).holder_calls(b, rng)`: the
-    holder calls of one simulated session, counted until synchronization."""
-    return Simulation(data, x, script, epsilon).holder_calls(b, rng)
 
 
 def direct_run(data, script: Sequence[SliceComputation], epsilon: float,

@@ -12,7 +12,8 @@ cannot be collected. The exit status is 1 when any mutant is not caught.
 
 pytest does not collect this file. `tests/test_mutants.py` checks, on
 every run, that each entry's old text occurs exactly once in its file, so a
-refactor that moves the code must update the entry.
+refactor that moves the code must update the entry, and that each test it
+lists still names a `def` or `class` in an existing file.
 """
 
 import os
@@ -70,6 +71,52 @@ MUTANTS = (
            "            break\n",
            ("tests/test_sync.py::TestHolderCalls::test_equals_the_full_simulation",
             f"{_CALL_LAW}[0.5-16-48]")),
+    # a wrong multiplier in the stream hash's second constant chain
+    Mutant("stream-hash-wrong-mult-b", "src/slicedp/sync.py",
+           "_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded",
+           "_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38dee",
+           ("tests/test_sync.py::TestTrialStreams::test_streams_equal_default_rng",
+            "tests/test_cli.py::TestAuditStreams::test_trials_equal_a_default_rng_loop")),
+    # the trims cut their slice off an input they never sorted
+    Mutant("trim-select-unsorted", "src/slicedp/treelog.py",
+           "        if not _is_sorted(values):\n            values.sort()\n",
+           "        if not _is_sorted(values):\n            pass\n",
+           ("tests/test_engine.py::TestOrderMaps::test_trim_selects_match_a_full_sort",)),
+    # the pmf's 1 - e^-eps cancels at small eps
+    Mutant("cancelling-pmf", "src/slicedp/mechanisms.py",
+           "return math.exp(-epsilon * k) * -math.expm1(-epsilon)",
+           "return math.exp(-epsilon * k) * (1.0 - math.exp(-epsilon))",
+           ("tests/test_mechanisms.py::TestGeometricSampler::"
+            "test_pmf_keeps_its_precision_at_small_epsilon",)),
+    # a rectangle drops its upper edge
+    Mutant("predict-strict-upper-edge", "src/slicedp/learners.py",
+           "inside &= (arr[:, axis] - np.uint64(a)) <= np.uint64(b - a)",
+           "inside &= (arr[:, axis] - np.uint64(a)) < np.uint64(b - a)",
+           ("tests/test_learners.py::TestHypothesis::"
+            "test_one_compare_predict_matches_two_compares",)),
+    # c - a goes negative below the rectangle instead of wrapping past b - a
+    Mutant("predict-signed-subtraction", "src/slicedp/learners.py",
+           "inside &= (arr[:, axis] - np.uint64(a)) <= np.uint64(b - a)",
+           "inside &= (arr[:, axis].astype(np.int64) - a) <= b - a",
+           ("tests/test_learners.py::TestHypothesis::test_predict_rectangle_and_zero",
+            "tests/test_learners.py::TestHypothesis::"
+            "test_one_compare_predict_matches_two_compares")),
+    # the axis select fills the taken rows' slots from one row too early
+    Mutant("axis-select-kept-tail-off-by-one", "src/slicedp/engine.py",
+           "a[taken[hole]] = np.take(a, cut + np.flatnonzero(kept), axis=0)",
+           "a[taken[hole]] = np.take(a, cut - 1 + np.flatnonzero(kept), axis=0)",
+           ("tests/test_engine.py::TestOrderMaps::test_axis_map_matches_a_lexsort_per_column",)),
+    # ipp's sort-once scorer leaves the points equal to z out of its count at or below z
+    Mutant("ipp-score-side-left", "src/slicedp/treelog.py",
+           'le = int(np.searchsorted(sorted_data, key, side="right"))',
+           'le = int(np.searchsorted(sorted_data, key, side="left"))',
+           ("tests/test_treelog.py::TestCountQueries::test_sorted_score_matches_f_ipp",)),
+    # the choosing mechanism draws among candidates of score 0 too
+    Mutant("choosing-keeps-zero-scores", "src/slicedp/mechanisms.py",
+           "positive = [z for z, s in zip(candidates, scores) if s > 0.0]",
+           "positive = [z for z, s in zip(candidates, scores) if s >= 0.0]",
+           ("tests/test_mechanisms.py::"
+            "test_choosing_draws_through_the_exponential_mechanism[counting-one-point]",)),
 )
 
 

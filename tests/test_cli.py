@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicedp import (SliceComputation, Universe, ascending_map, audit_call_count, cli,
-                     learners, quasiconcave, regime_threshold, sync_gamma)
+from slicedp import (Simulation, SliceComputation, Universe, ascending_map, audit_call_count,
+                     cli, learners, quasiconcave, regime_threshold, sync_gamma, trial_streams)
 from slicedp.cli import build_parser, load_dataset, main, sweep_minimal_n
 from slicedp.sync import run_trials
 from slicedp.treelog import RegimeError
@@ -558,6 +558,48 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+# the CPU counts the invariance tests report: serial, two parts and three
+CPU_COUNTS = (1, 2, 3)
+
+
+def _per_cpu_count(monkeypatch, call):
+    """`call()` under each of CPU_COUNTS reported CPUs, with `os.fork`
+    wrapped to count the children each call makes in this process; a call
+    may fork at most one child per reported CPU but its own."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    results = []
+    for cpus in CPU_COUNTS:
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        results.append(call())
+        assert len(forks) <= cpus - 1, (cpus, len(forks))
+    return results
+
+
+def _criterion_style_loop(trials):
+    # criterion 02's shape: trial i simulates on [102, 2, i] and runs
+    # directly on [102, 3, i], in parts on `run_trials`
+    data, x, algorithm = cli._audit_instance(6)
+    simulation = Simulation(data, x, [SliceComputation(1, algorithm, ascending_map())] * 3,
+                            0.5)
+
+    def part(chunk):
+        return [(tuple(simulation.run(1, sim_rng).published),
+                 tuple(simulation.direct(direct_rng)))
+                for sim_rng, direct_rng in zip(trial_streams(102, (2,), chunk),
+                                               trial_streams(102, (3,), chunk))]
+
+    return [out for outputs in run_trials(part, range(trials)) for out in outputs]
+
+
 class TestParallelAuditTrials:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 12).flatmap(lambda total: st.tuples(
@@ -579,13 +621,24 @@ class TestParallelAuditTrials:
                                                      tau, size, trials):
         argv = ["audit-sim", "--seed", "13", "--epsilon", "0.5", "--tau", str(tau),
                 "--size", str(size), "--trials", str(trials)]
-        records = []
-        for cpus in (1, 3):
-            _cpus(monkeypatch, cpus)
-            rc, record = run(tmp_path, f"sim{cpus}.json", argv)
+
+        def audit_sim():
+            rc, record = run(tmp_path, "sim.json", argv)
             assert rc == 0
-            records.append((record["parameters"], record["payload"]))
-        assert records[0] == records[1]
+            return record["parameters"], record["payload"]
+
+        first, *rest = _per_cpu_count(monkeypatch, audit_sim)
+        assert rest == [first] * len(rest)
+
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    def test_trial_loops_do_not_depend_on_the_cpu_count(self, monkeypatch, trials):
+        script = [SliceComputation(1, lambda s: int(s[0]) if len(s) else -1, ascending_map())
+                  for _ in range(4)]
+        first, *rest = _per_cpu_count(monkeypatch, lambda: audit_call_count(
+            np.arange(1, 17, dtype=np.uint64), np.uint64(0), 1, script, 0.5, trials, seed=13))
+        assert first.trials == trials and rest == [first] * len(rest)
+        first, *rest = _per_cpu_count(monkeypatch, lambda: _criterion_style_loop(trials))
+        assert len(first) == trials and rest == [first] * len(rest)
 
     def test_workers_are_joined_before_main_returns(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 3)

@@ -16,6 +16,7 @@ from slicedp import (
     sample_geometric,
     sample_laplace,
 )
+from slicedp.treelog import TreeVertex, Universe, _depth_vertex_quality
 
 from support import chi_squared_critical
 
@@ -201,6 +202,56 @@ class TestChoosingMechanism:
             for _ in range(200)
         )
         assert wins >= 198
+
+
+def _choosing_by_definition(q, data, epsilon, delta, beta, rng, fallback):
+    """The choosing mechanism as Beimel, Nissim and Stemmer define it: the
+    noisy gate, then the exponential mechanism at eps/2 over the candidates
+    of positive score. Returns (choice, whether the gate passed)."""
+    candidates = list(q.touched(data))
+    scores = [float(q.evaluate(data, z)) for z in candidates]
+    bound = choosing_error_bound(epsilon, delta, beta, q.bound_k, len(data))
+    if max(scores, default=0.0) + sample_laplace(4.0 / epsilon, rng) < bound / 2.0:
+        return fallback, False
+    positive = [z for z, s in zip(candidates, scores) if s > 0.0]
+    if not positive:
+        return fallback, True
+    return exponential_mechanism(positive, q, data, epsilon / 2.0, rng), True
+
+
+def _digit_count_quality():
+    # every digit is touched, so the digits the data lacks score 0
+    return QualityFunction(evaluate=lambda data, z: float(np.count_nonzero(data == z)),
+                           bound_k=1, touched=lambda data: range(10))
+
+
+_CLUSTERS = np.repeat(np.array([7, 3, 5, 1], dtype=np.uint64), [150, 148, 145, 2])
+
+
+@pytest.mark.parametrize("quality, data, epsilon, delta, beta, fallback, chosen", [
+    (_digit_count_quality(), _CLUSTERS, 1.0, 1e-3, 0.1, -1, {3, 5, 7}),
+    # ipp's depth-3 vertex weights on an 8-bit domain, the clusters spread
+    # over the top three bits
+    (_depth_vertex_quality(Universe(8), 3, _CLUSTERS << np.uint64(5)), _CLUSTERS << np.uint64(5),
+     1.0, 1e-3, 0.1, None, {TreeVertex(3, 3), TreeVertex(3, 5), TreeVertex(3, 7)}),
+    # one point and a loose bound: the gate passes on noise in about one
+    # trial in eight, and the nine digits of score 0 would take most draws
+    (_digit_count_quality(), np.array([3], dtype=np.uint64), 1.9, 0.9, 0.9, -1, {3}),
+], ids=["counting", "depth-vertex", "counting-one-point"])
+def test_choosing_draws_through_the_exponential_mechanism(quality, data, epsilon, delta,
+                                                          beta, fallback, chosen):
+    # seed by seed, the same choice and the same next draw as the definition
+    choices = set()
+    for seed in range(200):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = choosing_mechanism(quality, data, epsilon, delta, beta, rng, fallback)
+        expected, passed = _choosing_by_definition(quality, data, epsilon, delta, beta,
+                                                   reference, fallback)
+        assert got == expected and rng.random() == reference.random(), seed
+        if passed:
+            choices.add(expected)
+    # the gate passed, and the draws covered every candidate of high score
+    assert choices == chosen
 
 
 @settings(max_examples=50, deadline=None)

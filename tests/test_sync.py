@@ -20,7 +20,6 @@ from slicedp import (
     descending_map,
     direct_run,
     estimate_tv,
-    holder_calls,
     run_trials,
     sample_geometric,
     simulate,
@@ -171,7 +170,7 @@ class TestHolderQuery:
         arrangements = _arrangements(range(1, 40), 0)
         for _ in range(200):
             q_hat, beta, result = DataHolder(0, 0.5, rng).query(
-                arrangements, q=3, algorithm=_len_algorithm)
+                arrangements, q=3, algorithm=_len_algorithm, step=0)
             assert result == q_hat
 
     def test_b1_size_is_q_hat_plus_beta(self):
@@ -179,13 +178,13 @@ class TestHolderQuery:
         arrangements = _arrangements(range(1, 40), 0)
         for _ in range(200):
             q_hat, beta, result = DataHolder(1, 0.5, rng).query(
-                arrangements, q=3, algorithm=_len_algorithm)
+                arrangements, q=3, algorithm=_len_algorithm, step=0)
             assert result == q_hat + beta
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
             DataHolder(0, 0.5, np.random.default_rng(0)).query(
-                _arrangements([1], 0), q=-1, algorithm=None)
+                _arrangements([1], 0), q=-1, algorithm=None, step=0)
 
 
 def _script(tau=2, m=2):
@@ -307,7 +306,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match=message):
             simulate(data, x, 1, _script(), 0.5, np.random.default_rng(18))
         with pytest.raises(ValueError, match=message):
-            holder_calls(data, x, 1, _script(), 0.5, np.random.default_rng(18))
+            Simulation(data, x, _script(), 0.5).holder_calls(1, np.random.default_rng(18))
 
     def test_empty_script_raises_like_direct_run(self):
         rng = np.random.default_rng(19)
@@ -316,7 +315,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match=re.escape(str(direct.value))):
             simulate([1, 3], 0, 1, [], 0.5, rng)
         with pytest.raises(ValueError, match=re.escape(str(direct.value))):
-            holder_calls([1, 3], 0, 1, [], 0.5, rng)
+            Simulation([1, 3], 0, [], 0.5).holder_calls(1, rng)
 
 
 def _slice_tuple(arr):
@@ -600,7 +599,8 @@ class TestHolderCalls:
         data, x, script = session
         rng_full, rng_counted = np.random.default_rng(seed), np.random.default_rng(seed)
         full = simulate(data, x, b, script, epsilon, rng_full)
-        assert holder_calls(data, x, b, script, epsilon, rng_counted) == full.holder_calls
+        assert Simulation(data, x, script, epsilon).holder_calls(b, rng_counted) \
+            == full.holder_calls
         if full.final_status == 0:
             # never synchronized, so the count ran every step and drew as much
             assert rng_counted.random() == rng_full.random()
@@ -610,7 +610,7 @@ class TestHolderCalls:
         # draw and none of the nine after it
         script = [SliceComputation(1, _slice_tuple, _COUNTED_MAPS["below-cut"])] * 10
         rng, reference = np.random.default_rng(4), np.random.default_rng(4)
-        assert holder_calls([1, 2, 3], 35, 1, script, 0.5, rng) == 0
+        assert Simulation([1, 2, 3], 35, script, 0.5).holder_calls(1, rng) == 0
         sample_geometric(0.5, reference)
         assert rng.random() == reference.random()
 
@@ -640,7 +640,8 @@ class TestCallCountAudit:
         script = [SliceComputation(m=1, algorithm=_len_algorithm, map=ascending_map())
                   for _ in range(6)]
         data, trials, seed = list(range(1, 13)), 40, 21
-        expected = [holder_calls(data, 0, 1, script, 0.5, np.random.default_rng([seed, 2, i]))
+        simulation = Simulation(data, 0, script, 0.5)
+        expected = [simulation.holder_calls(1, np.random.default_rng([seed, 2, i]))
                     for i in range(trials)]
         audit = audit_call_count(data, 0, 1, script, 0.5, trials=trials, seed=seed)
         assert audit == AuditResult.from_counts(np.array(expected, dtype=np.int64))
