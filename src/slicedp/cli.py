@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -41,6 +42,13 @@ MAX_TRIALS = 1_000_000
 MAX_AUDIT_TAU = 10_000
 MAX_AUDIT_SIZE = 1_000_000
 MAX_SWEEP_N = 4_000_000
+# checked on each --input's size before it is parsed. The largest benchmark
+# input, qc's 2^20-row tent table, is 15,464,636 bytes at seed 5 (rect's
+# largest is 14,562,438); the cap is about 69 times that. At that table's
+# 14.7 bytes per row it admits a table at qc-opt's 2^26 domain cap
+# (`QC_DOMAIN_CAP`), about 990 MB, though not one whose rows average over
+# 16 bytes
+MAX_INPUT_BYTES = 1 << 30
 
 
 def _check_common(args: argparse.Namespace) -> None:
@@ -60,6 +68,9 @@ def _check_common(args: argparse.Namespace) -> None:
     for bits in given:
         if not (1 <= bits <= 64):
             raise ValueError(f"bits must lie in [1, 64], got {bits}")
+    if "input" in args and os.stat(args.input).st_size > MAX_INPUT_BYTES:
+        raise ValueError(f"--input {args.input} is larger than the cap of "
+                         f"{MAX_INPUT_BYTES} bytes")
 
 
 def load_dataset(path, bit_length: int) -> np.ndarray:
@@ -81,9 +92,9 @@ def load_dataset(path, bit_length: int) -> np.ndarray:
         raise
 
 
-def _record(args: argparse.Namespace, parameters: dict, payload, success: bool,
-            started: float) -> dict:
-    return {
+def _render(args: argparse.Namespace, parameters: dict, payload, success: bool,
+            started: float) -> str:
+    record = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "parameters": parameters,
@@ -91,9 +102,6 @@ def _record(args: argparse.Namespace, parameters: dict, payload, success: bool,
         "success": bool(success),
         "wall_clock_sec": round(time.monotonic() - started, 6),
     }
-
-
-def _dumps(record: dict) -> str:
     # strict JSON (RFC 8259): a non-finite float is a ValueError, not Infinity
     return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -110,13 +118,6 @@ def _strict(parsed: dict) -> dict:
     """The parsed flags with each non-finite float as its string, for JSON."""
     return {key: repr(value) if isinstance(value, float) and not math.isfinite(value)
             else value for key, value in parsed.items()}
-
-
-def _trial_rng(seed: int, *path: int) -> np.random.Generator:
-    # counter-based stream derivation: same (seed, path) always gives the
-    # same stream, independent of evaluation order; loops over trials take
-    # the same streams from `trial_streams`
-    return np.random.default_rng([seed, *path])
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def _cmd_ipp(args: argparse.Namespace):
     if cost.delta >= 1:
         print(f"warning: delta_total = {cost.delta} >= 1, so this run carries no "
               f"privacy guarantee", file=sys.stderr)
-    rng = _trial_rng(args.seed, 0)
+    rng = np.random.default_rng([args.seed, 0])
     value = ipp(universe, data, args.epsilon, args.delta, rng)
     lo, hi = int(data.min()), int(data.max())
     payload = {"value": int(value), "interior": bool(lo <= int(value) <= hi)}
@@ -166,7 +167,7 @@ def _cmd_learn_threshold(args: argparse.Namespace):
         "regime_inequality":
             f"n = {len(sample)} {'<' if len(sample) < required else '>='} {required}",
     }
-    rng = _trial_rng(args.seed, 0)
+    rng = np.random.default_rng([args.seed, 0])
     hypothesis = learn_threshold_realizable(sample, xi, beta, args.epsilon,
                                             args.delta, rng)
     errors = int(np.sum(hypothesis.predict(sample.points) != sample.labels))
@@ -187,7 +188,7 @@ def _cmd_learn_rect(args: argparse.Namespace):
         "seed": args.seed, "dims": dims, "n": len(sample),
         "positives": int(sample.labels.sum()),
     }
-    rng = _trial_rng(args.seed, 0)
+    rng = np.random.default_rng([args.seed, 0])
     hypothesis = learn_rectangles(sample, args.epsilon, args.delta, rng)
     errors = int(np.sum(hypothesis.predict(points) != sample.labels))
     payload = {
@@ -205,7 +206,7 @@ def _cmd_qc_opt(args: argparse.Namespace):
         "epsilon": args.epsilon, "delta": args.delta, "seed": args.seed,
         "constant_c": args.constant_c, "domain_size": instance.size,
     }
-    rng = _trial_rng(args.seed, 0)
+    rng = np.random.default_rng([args.seed, 0])
     result = qc_optimize(instance, args.epsilon, args.delta, rng, args.constant_c)
     payload = {"solution": result.solution, "score": result.score,
                "opt_estimate": result.opt_estimate,
@@ -451,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "over reorder-slice-compute sessions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_required=False, epsilon=1.0, delta=1e-3):
+    def command(name, handler, help, input_required=False, epsilon=1.0, delta=1e-3):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, required=True,
                        help="64-bit RNG seed (mandatory for reproducibility)")
         p.add_argument("--epsilon", type=float, default=epsilon)
@@ -459,44 +462,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the JSON record here instead of stdout")
         if input_required:
             p.add_argument("--input", required=True, help="input dataset path")
+        return p
 
-    p = sub.add_parser("ipp", help="interior point of a file of integers")
-    common(p, input_required=True)
+    p = command("ipp", _cmd_ipp, "interior point of a file of integers", input_required=True)
     p.add_argument("--bits", type=int, default=32)
 
-    p = sub.add_parser("learn-threshold", help="realizable threshold learner")
-    common(p, input_required=True)
+    p = command("learn-threshold", _cmd_learn_threshold, "realizable threshold learner",
+                input_required=True)
     p.add_argument("--bits", type=int, default=32)
     p.add_argument("--xi", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=0.1)
 
-    p = sub.add_parser("learn-rect", help="axis-aligned rectangle learner")
-    common(p, input_required=True)
+    p = command("learn-rect", _cmd_learn_rect, "axis-aligned rectangle learner",
+                input_required=True)
     p.add_argument("--bits", type=int, default=16)
     p.add_argument("--dims", type=int, default=None)
 
-    p = sub.add_parser("qc-opt", help="quasi-concave optimizer on a score CSV")
-    common(p, input_required=True, epsilon=4.0, delta=0.25)
+    p = command("qc-opt", _cmd_qc_opt, "quasi-concave optimizer on a score CSV",
+                input_required=True, epsilon=4.0, delta=0.25)
     p.add_argument("--constant-c", type=int, default=4, dest="constant_c")
 
-    p = sub.add_parser("audit-sync", help="exact synchronization-map checks")
-    common(p, epsilon=0.5)
+    p = command("audit-sync", _cmd_audit_sync, "exact synchronization-map checks",
+                epsilon=0.5)
     p.add_argument("--cutoff", type=int, default=None)
 
-    p = sub.add_parser("audit-sim", help="simulator faithfulness and call counts")
-    common(p, epsilon=0.5)
+    p = command("audit-sim", _cmd_audit_sim, "simulator faithfulness and call counts",
+                epsilon=0.5)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tau", type=int, default=2, help="script length")
     p.add_argument("--size", type=int, default=8, help="instance size")
 
-    p = sub.add_parser("sweep", help="minimal sample size per domain bit length")
-    common(p)
+    p = command("sweep", _cmd_sweep, "minimal sample size per domain bit length")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--bits", type=int, nargs="+", action="extend", default=None,
                    dest="bits_list", help="repeatable; default 8 16 32 64")
 
-    p = sub.add_parser("account", help="explicit privacy accounting report")
-    common(p, epsilon=0.1)
+    p = command("account", _cmd_account, "explicit privacy accounting report", epsilon=0.1)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--delta-hat", type=float, default=1e-6, dest="delta_hat")
@@ -509,25 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-_HANDLERS = {
-    "ipp": _cmd_ipp,
-    "learn-threshold": _cmd_learn_threshold,
-    "learn-rect": _cmd_learn_rect,
-    "qc-opt": _cmd_qc_opt,
-    "audit-sync": _cmd_audit_sync,
-    "audit-sim": _cmd_audit_sim,
-    "sweep": _cmd_sweep,
-    "account": _cmd_account,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.monotonic()
-    parsed = {key: value for key, value in vars(args).items() if key != "command"}
+    parsed = {key: value for key, value in vars(args).items()
+              if key not in ("command", "handler")}
     try:
         _check_common(args)
-        parameters, payload, success = _HANDLERS[args.command](args)
+        parameters, payload, success = args.handler(args)
     except Exception as exc:
         if not isinstance(exc, (ValueError, OSError, MemoryError)):
             traceback.print_exc()  # a fault of the program, not of its input
@@ -540,18 +530,18 @@ def main(argv=None) -> int:
             payload["provided"] = exc.provided
             payload["violated_inequality"] = f"n = {exc.provided} < {exc.required}"
     try:
-        text = _dumps(_record(args, parameters, payload, success, started))
+        text = _render(args, parameters, payload, success, started)
     except ValueError as exc:
         # a non-finite float; the flags are echoed with such values spelled out
         if "error" not in payload:
             payload = {"error": f"the record cannot be written as JSON: {exc}"}
         success = False
-        text = _dumps(_record(args, _strict(parsed), payload, False, started))
+        text = _render(args, _strict(parsed), payload, False, started)
     try:
         _emit(text, args.output)
     except OSError as exc:
         payload = {"error": f"cannot write the record to {args.output}: {exc.strerror or exc}"}
-        _emit(_dumps(_record(args, _strict(parsed), payload, False, started)), None)
+        _emit(_render(args, _strict(parsed), payload, False, started), None)
         return 1
     return 0 if success else 1
 

@@ -276,11 +276,8 @@ def _depth_vertex_quality(universe: Universe, depth: int,
     # adding one element raises exactly one depth-q vertex weight by 1, so
     # the function is 1-bounded; counts are tabulated once per slice
     shift = np.uint64(universe.bit_length - depth)
-    if elements.size:
-        prefixes, counts = np.unique(elements >> shift, return_counts=True)
-        table = {int(p): int(c) for p, c in zip(prefixes, counts)}
-    else:
-        table = {}
+    prefixes, counts = np.unique(elements >> shift, return_counts=True)
+    table = {int(p): int(c) for p, c in zip(prefixes, counts)}
     return QualityFunction(
         evaluate=lambda d, v: table.get(v.prefix, 0),
         bound_k=1,

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 _EXACT_LAW = "tests/test_sync.py::TestDirect::test_outputs_follow_the_exact_law"
 _CALL_LAW = "tests/test_sync.py::TestCallCountAudit::test_holder_calls_follow_the_exact_law"
+_RECORD_SHAPE = "tests/test_cli.py::TestRecordShape"
 
 MUTANTS = (
     # the direct run slices the map of data + {x}, not of data
@@ -117,6 +118,33 @@ MUTANTS = (
            "positive = [z for z, s in zip(candidates, scores) if s >= 0.0]",
            ("tests/test_mechanisms.py::"
             "test_choosing_draws_through_the_exponential_mechanism[counting-one-point]",)),
+    # the failure record echoes the parsed handler, a function json cannot write
+    Mutant("failure-echo-keeps-handler", "src/slicedp/cli.py",
+           'if key not in ("command", "handler")}',
+           'if key not in ("command",)}',
+           (f"{_RECORD_SHAPE}::test_failure_record_echoes_the_parsed_parameters",
+            f"{_RECORD_SHAPE}::test_non_finite_flag_is_echoed_as_strict_json",
+            f"{_RECORD_SHAPE}::test_bad_seed_is_a_structured_error")),
+    # `ipp` and `learn-threshold` run each other's handler
+    Mutant("handlers-swapped", "src/slicedp/cli.py",
+           'p = command("ipp", _cmd_ipp, "interior point of a file of integers", '
+           'input_required=True)\n    p.add_argument("--bits", type=int, default=32)\n\n'
+           '    p = command("learn-threshold", _cmd_learn_threshold,',
+           'p = command("ipp", _cmd_learn_threshold, "interior point of a file of integers", '
+           'input_required=True)\n    p.add_argument("--bits", type=int, default=32)\n\n'
+           '    p = command("learn-threshold", _cmd_ipp,',
+           ("tests/test_cli.py::TestInteriorPointCommand::test_solves_in_regime_instance",
+            "tests/test_cli.py::TestLearnerCommands::test_threshold_end_to_end")),
+    # a non-finite float is written as Infinity, which strict JSON has not
+    Mutant("render-allows-nan", "src/slicedp/cli.py",
+           "allow_nan=False",
+           "allow_nan=True",
+           (f"{_RECORD_SHAPE}::test_non_finite_flag_is_echoed_as_strict_json",)),
+    # a file of exactly the byte cap is rejected
+    Mutant("input-cap-inclusive", "src/slicedp/cli.py",
+           "os.stat(args.input).st_size > MAX_INPUT_BYTES",
+           "os.stat(args.input).st_size >= MAX_INPUT_BYTES",
+           (f"{_RECORD_SHAPE}::test_input_at_the_byte_cap_loads_and_one_byte_more_fails",)),
 )
 
 

@@ -171,6 +171,37 @@ class TestRecordShape:
         assert f"--input {path}" in record["payload"]["error"]
         assert "Traceback" not in captured.err
 
+    def test_input_at_the_byte_cap_loads_and_one_byte_more_fails(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        path = tmp_path / "rect.csv"
+        path.write_text("1,2,1\n3,4,0\n")
+        cap = path.stat().st_size
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", cap)
+        argv = ["learn-rect", "--seed", "5", "--input", str(path), "--bits", "8"]
+        rc, record = run(tmp_path, "at-cap.json", argv)
+        assert rc == 0 and record["success"] is True
+        with path.open("a") as fh:
+            fh.write("\n")  # a blank line, which the reader would skip
+        rc, record = run(tmp_path, "above-cap.json", argv)
+        assert rc == 1 and record["success"] is False
+        assert record["payload"] == {
+            "error": f"--input {path} is larger than the cap of {cap} bytes"}
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ipp", "learn-threshold", "learn-rect", "qc-opt"])
+    def test_input_above_the_byte_cap_is_a_failure_record(self, tmp_path, capsys, command):
+        # a sparse file: truncating it to its apparent size writes no blocks
+        path = tmp_path / "huge.csv"
+        path.touch()
+        os.truncate(path, cli.MAX_INPUT_BYTES + 1)
+        rc = main([command, "--seed", "5", "--input", str(path)])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert rc == 1 and record["success"] is False
+        assert record["payload"] == {
+            "error": f"--input {path} is larger than the cap of {cli.MAX_INPUT_BYTES} bytes"}
+        assert "Traceback" not in captured.err
+
 
 # the subcommands taking each common flag, and the argv each needs besides it
 COMMAND_ARGS = {

@@ -254,6 +254,19 @@ def test_choosing_draws_through_the_exponential_mechanism(quality, data, epsilon
     assert choices == chosen
 
 
+def test_choosing_on_an_empty_embed_slice_returns_the_fallback():
+    # an empty slice touches no vertex and scores every one 0; under the
+    # loose bound the gate still passes on noise in some seeds
+    empty = np.array([], dtype=np.uint64)
+    quality = _depth_vertex_quality(Universe(8), 3, empty)
+    assert list(quality.touched(empty)) == []
+    assert all(quality.evaluate(empty, TreeVertex(3, p)) == 0 for p in range(8))
+    for seed in range(50):
+        got = choosing_mechanism(quality, empty, 1.9, 0.9, 0.9, np.random.default_rng(seed),
+                                 fallback=TreeVertex(3, 0))
+        assert got == TreeVertex(3, 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=0, max_value=40))
 def test_geometric_pmf_normalized_prefix(eps, k):
